@@ -6,7 +6,7 @@
 JOBS ?= 0
 SMOKE_SCALE ?= 0.02
 
-.PHONY: build test lint lint-audit complexity-report complexity-check check bench bench-micro bench-check bench-smoke bench-wallclock figures-shard clean
+.PHONY: build test lint lint-audit complexity-report complexity-check check bench bench-micro bench-check bench-smoke bench-repo-test bench-wallclock figures-shard clean
 
 build:
 	dune build
@@ -50,10 +50,11 @@ complexity-check: build
 	  > /tmp/complexity_report.txt
 	diff -u test/lint_fixtures/complexity_report.txt /tmp/complexity_report.txt
 
-# Tier-1 verify plus lint (including the suppression audit) and a tiny
-# wall-clock smoke: build + full test suite + static analysis +
-# sequential-vs-parallel byte-identity. Lint runs exactly twice: once
-# for findings, once for the suppression audit.
+# Tier-1 verify plus lint (including the suppression audit), a tiny
+# wall-clock smoke and the benchmark's own tests: build + full test
+# suite + static analysis + sequential-vs-parallel byte-identity. Lint
+# runs exactly twice: once for findings, once for the suppression
+# audit.
 check:
 	dune build && dune runtest
 	$(MAKE) lint
@@ -61,6 +62,7 @@ check:
 	$(MAKE) complexity-check
 	$(MAKE) bench-check
 	$(MAKE) bench-smoke
+	$(MAKE) bench-repo-test
 
 # The full benchmark harness (micro + opcost + ablations + figures).
 bench: build
@@ -78,6 +80,12 @@ bench-micro: build
 # (e.g. an O(n) idle walk reappearing in an O(active) scan).
 bench-check: build
 	dune exec bench/bench_micro_main.exe -- --check BENCH_micro.json
+
+# The benchmark's own tests (perfbench/test_perfbench.py): the
+# BENCHMARK.json contract, the layer map, the OCaml unit checks, and a
+# tiny traced and untraced run of every workload (a few seconds).
+bench-repo-test: build
+	python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 # Sequential-vs-parallel wall-clock for the reference figure set;
 # refreshes BENCH_wallclock.json at the repo root.

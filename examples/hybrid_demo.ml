@@ -61,11 +61,7 @@ let () =
   let rec tick t =
     ignore
       (Engine.at engine t (fun () ->
-           let mode =
-             match Hybrid.mode server with
-             | Hybrid.Signals -> "signals"
-             | Hybrid.Polling -> "polling"
-           in
+           let mode = Server_core.string_of_mode (Hybrid.mode server) in
            Fmt.pr "t=%4.1fs  mode=%-8s replies/s=%5d  switches=%d  overflows=%d@."
              (Time.to_sec_f t) mode
              (stats.Sio_httpd.Server_stats.replies - !last)

@@ -45,6 +45,7 @@ module Epoll = Sio_kernel.Epoll
 (* Servers and HTTP *)
 module Http = Sio_httpd.Http
 module Backend = Sio_httpd.Backend
+module Server_core = Sio_httpd.Server_core
 module Thttpd = Sio_httpd.Thttpd
 module Phhttpd = Sio_httpd.Phhttpd
 module Hybrid = Sio_httpd.Hybrid

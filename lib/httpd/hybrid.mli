@@ -8,7 +8,7 @@
     (here, /dev/poll kernel state) must be maintained {e concurrently}
     with signal-queue activity, so a switch costs almost nothing.
 
-    This implementation does exactly that:
+    This implementation does exactly that, as a {!Server_core} policy:
     - every accepted connection is registered both with F_SETSIG and
       in a /dev/poll interest set;
     - signal mode consumes one event per syscall (or a batch, when
@@ -43,9 +43,10 @@ type config = {
 
 val default_config : config
 
-type mode = Signals | Polling
+type mode = Server_core.mode = Signals | Polling
 
-type t
+type state
+type t = state Server_core.t
 
 val start : proc:Process.t -> ?config:config -> unit -> (t, [ `Emfile ]) result
 val listener : t -> Socket.t

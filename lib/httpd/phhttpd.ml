@@ -30,126 +30,36 @@ let default_config =
     max_events_per_iter = 8;
   }
 
-type mode = Signals | Polling
+type mode = Server_core.mode = Signals | Polling
 
-type t = {
-  proc : Process.t; (* the signal worker thread *)
-  sibling : Process.t; (* the poll sibling (a Linux thread = own pid) *)
+(* Who serves the connections: the signal worker, the worker while it
+   hands every descriptor to the poll sibling, or the sibling on its
+   own poll backend. *)
+type phase = Signal_worker | Handing_off | Sibling of Backend.t
+
+type state = {
   config : config;
-  listener : Socket.t;
-  conns : Conn.t Fd_map.t;
-  stats : Server_stats.t;
-  mutable listen_fd : int; (* moves to the sibling's table on handoff *)
-  mutable mode : mode;
-  mutable handing_off : bool;
-  mutable poll_backend : Backend.t option; (* the sibling's, after overflow *)
-  mutable next_sweep : Time.t;
-  mutable stopped : bool;
+  worker : Process.t; (* the signal worker thread *)
+  sibling : Process.t; (* the poll sibling (a Linux thread = own pid) *)
+  mutable phase : phase;
 }
 
-(* Which thread is doing the work right now. *)
-let cur_proc t = match t.mode with Signals -> t.proc | Polling -> t.sibling
-
-let now t = Host.now (Process.host t.proc)
-
-let drop_conn t fd =
-  ignore (Fd_map.remove t.conns fd);
-  match t.poll_backend with Some b -> Backend.remove b fd | None -> ()
-
-let handle_conn_event t fd =
-  (* The unfinished server's connection bookkeeping walks state that
-     grows with every open connection — the cache-pressure cost the
-     paper suspects behind Figures 12-13. Charged per handled event,
-     in both signal and polling modes. *)
-  Kernel.compute (cur_proc t)
-    (Time.mul t.config.conn_table_cost_per_conn (Fd_map.length t.conns));
-  match Fd_map.find t.conns fd with
-  | None ->
-      (* A stale RT signal for a connection that is already gone: the
-         hazard the paper warns about. It costs a little CPU to look
-         up and discard. *)
-      t.stats.Server_stats.stale_events <- t.stats.Server_stats.stale_events + 1;
-      Kernel.compute (cur_proc t) t.config.conn.Conn.read_spin_cost
-  | Some conn -> (
-      let was_sending = Conn.sending conn in
-      match Conn.handle_event (cur_proc t) t.config.conn conn ~now:(now t) with
-      | Conn.Replied n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          Server_stats.record_reply t.stats ~now:(now t);
-          drop_conn t fd
-      | Conn.Again -> ()
-      | Conn.Blocked n ->
-          t.stats.Server_stats.bytes_sent <- t.stats.Server_stats.bytes_sent + n;
-          t.stats.Server_stats.partial_writes <-
-            t.stats.Server_stats.partial_writes + 1;
-          (* In signal mode nothing to do: F_SETSIG delivers POLLOUT
-             edges through the same queue. The poll sibling must switch
-             its recorded interest to writable. *)
-          if not was_sending then (
-            match (t.mode, t.poll_backend) with
-            | Polling, Some b -> Backend.modify b fd Pollmask.pollout
-            | (Signals | Polling), _ -> ())
-      | Conn.Closed_by_peer ->
-          t.stats.Server_stats.dropped_conns <- t.stats.Server_stats.dropped_conns + 1;
-          drop_conn t fd)
-
-(* Data can arrive between the SYN and our F_SETSIG; no signal will
-   ever announce it. Real signal-driven servers therefore try an
-   immediate non-blocking read on every freshly accepted connection. *)
-let accept_pending t =
-  let rec go () =
-    match Kernel.accept (cur_proc t) t.listen_fd with
-    | Ok (fd, _sock) ->
-        Fd_map.set t.conns fd (Conn.create ~fd ~now:(now t));
-        (match t.mode with
-        | Signals -> ignore (Kernel.fcntl_setsig t.proc fd ~signo:t.config.signo)
-        | Polling -> (
-            match t.poll_backend with
-            | Some b -> Backend.add b fd Pollmask.pollin
-            | None -> ()));
-        t.stats.Server_stats.accepted <- t.stats.Server_stats.accepted + 1;
-        handle_conn_event t fd;
-        go ()
-    | Error `Eagain -> ()
-    | Error `Emfile ->
-        t.stats.Server_stats.emfile_drops <- t.stats.Server_stats.emfile_drops + 1;
-        go ()
-    | Error `Enobufs ->
-        t.stats.Server_stats.enobufs_drops <- t.stats.Server_stats.enobufs_drops + 1;
-        go ()
-    | Error (`Ebadf | `Einval) -> ()
-  in
-  go ()
-
-let sweep t =
-  let n = Fd_map.length t.conns in
-  Kernel.compute (cur_proc t) (Time.mul t.config.sweep_cost_per_conn n);
-  let cutoff = Time.sub (now t) t.config.idle_timeout in
-  (* Fd_map iterates in ascending fd order and tolerates removal of
-     the current key, so expired connections close in-place — same
-     close order as the old snapshot-and-sort, without the snapshot. *)
-  Fd_map.iter t.conns (fun fd conn ->
-      if Conn.last_activity conn <= cutoff then begin
-        ignore (Kernel.close (cur_proc t) fd);
-        drop_conn t fd;
-        t.stats.Server_stats.timed_out_conns <- t.stats.Server_stats.timed_out_conns + 1
-      end);
-  t.next_sweep <- Time.add (now t) t.config.sweep_period
+type t = state Server_core.t
 
 (* Move one descriptor from the signal worker's table to the poll
    sibling's: an SCM_RIGHTS message over their UNIX-domain socket pair,
    followed by the sibling growing its pollfd array. The socket itself
-   is shared; only the descriptor changes hands (and number). *)
-let transfer_fd t ~backend ~mask fd =
-  match Fd_table.close (Process.fds t.proc) fd with
+   is shared; only the descriptor changes hands (and number).
+   [on_emfile] disposes of a socket the sibling has no room for. *)
+let transfer_fd st ~backend ~mask ~on_emfile fd =
+  match Fd_table.close (Process.fds st.worker) fd with
   | Some (Process.Sock sock) when Socket.state sock <> Socket.Closed -> (
-      match Process.install_socket t.sibling sock with
+      match Process.install_socket st.sibling sock with
       | Ok new_fd ->
           Backend.add backend new_fd mask;
-          Some (fd, new_fd, sock)
+          Some new_fd
       | Error `Emfile ->
-          Socket.reset sock;
-          t.stats.Server_stats.emfile_drops <- t.stats.Server_stats.emfile_drops + 1;
+          on_emfile sock;
           None)
   | Some _ | None -> None
 
@@ -161,134 +71,122 @@ let transfer_fd t ~backend ~mask fd =
    inefficiency of transferring each connection one at a time … will
    probably result in server meltdown". The server then stays in
    polling mode forever ("Brown never implemented this logic"). *)
-let overflow_recovery t ~k =
-  t.stats.Server_stats.overflow_recoveries <- t.stats.Server_stats.overflow_recoveries + 1;
-  t.stats.Server_stats.mode_switches <- t.stats.Server_stats.mode_switches + 1;
-  t.handing_off <- true;
-  ignore (Kernel.flush_signals t.proc);
-  let backend = Backend.poll t.sibling in
-  let host = Process.host t.proc in
-  let per_fd = Time.add t.config.handoff_cost_per_conn t.config.rebuild_cost_per_conn in
-  (* Handoff in ascending-fd order: each transfer costs simulated CPU,
-     so the order is simulation-visible. Fd_map.to_list is already in
-     that order; the snapshot survives the clear because transfers
-     re-insert under the sibling's fd numbers as they complete. *)
-  let entries = Fd_map.to_list t.conns in
-  Fd_map.clear t.conns;
-  let rec go work =
-    match work with
+let overflow_recovery core =
+  let st = Server_core.state core in
+  let stats = Server_core.stats core in
+  stats.Server_stats.overflow_recoveries <- stats.Server_stats.overflow_recoveries + 1;
+  stats.Server_stats.mode_switches <- stats.Server_stats.mode_switches + 1;
+  st.phase <- Handing_off;
+  ignore (Kernel.flush_signals st.worker);
+  let backend = Backend.poll st.sibling in
+  let host = Process.host st.worker in
+  let per_fd = Time.add st.config.handoff_cost_per_conn st.config.rebuild_cost_per_conn in
+  let drop sock =
+    Socket.reset sock;
+    stats.Server_stats.emfile_drops <- stats.Server_stats.emfile_drops + 1
+  in
+  let conns = Server_core.conns core in
+  (* Handoff in ascending-fd order, listener first: each transfer costs
+     simulated CPU, so the order is simulation-visible. Fd_map.to_list
+     is already in that order; the snapshot survives the clear because
+     transfers re-insert under the sibling's fd numbers as they
+     complete. *)
+  let entries = Fd_map.to_list conns in
+  Fd_map.clear conns;
+  let rec go listen_fd = function
     | [] ->
-        t.poll_backend <- Some backend;
-        t.mode <- Polling;
-        t.handing_off <- false;
-        k ()
-    | `Listener :: rest ->
-        Host.charge_run host ~cost:per_fd (fun () ->
-            (match Fd_table.close (Process.fds t.proc) t.listen_fd with
-            | Some (Process.Sock sock) -> (
-                match Process.install_socket t.sibling sock with
-                | Ok new_fd ->
-                    t.listen_fd <- new_fd;
-                    Backend.add backend new_fd Pollmask.pollin
-                | Error `Emfile -> Socket.close sock)
-            | Some _ | None -> ());
-            go rest)
-    | `Conn (fd, conn) :: rest ->
+        st.phase <- Sibling backend;
+        Server_core.hand_over core ~proc:st.sibling ~listen_fd;
+        Server_core.resume core
+    | (fd, conn) :: rest ->
         Host.charge_run host ~cost:per_fd (fun () ->
             (* A connection caught mid-send must come back as a
                writable interest or it stalls after the handoff. *)
-            let mask =
-              if Conn.sending conn then Pollmask.pollout else Pollmask.pollin
-            in
-            (match transfer_fd t ~backend ~mask fd with
-            | Some (_, new_fd, _) ->
-                Fd_map.set t.conns new_fd (Conn.with_fd conn ~fd:new_fd)
+            let mask = if Conn.sending conn then Pollmask.pollout else Pollmask.pollin in
+            (match transfer_fd st ~backend ~mask ~on_emfile:drop fd with
+            | Some new_fd -> Fd_map.set conns new_fd (Conn.with_fd conn ~fd:new_fd)
             | None -> ());
-            go rest)
+            go listen_fd rest)
   in
-  go (`Listener :: List.map (fun (fd, conn) -> `Conn (fd, conn)) entries)
+  Host.charge_run host ~cost:per_fd (fun () ->
+      let fd = Server_core.listen_fd core in
+      let moved = transfer_fd st ~backend ~mask:Pollmask.pollin ~on_emfile:Socket.close fd in
+      go (Option.value moved ~default:fd) entries)
 
-let rec loop t =
-  if not t.stopped then begin
-    let until_sweep = Time.max (Time.ns 1) (Time.sub t.next_sweep (now t)) in
-    let continue () =
-      if now t >= t.next_sweep then sweep t;
-      Kernel.yield (cur_proc t) (fun () -> loop t)
-    in
-    match t.mode with
-    | Signals ->
-        (* One event per syscall: sigwaitinfo semantics with the idle
-           sweep's timeout. *)
-        Kernel.sigtimedwait4 t.proc ~max:1 ~timeout:(Some until_sweep) ~k:(fun ds ->
-            if not t.stopped then begin
-              match ds with
-              | [ Rt_signal.Signal { fd; _ } ] ->
-                  if fd = t.listen_fd then accept_pending t else handle_conn_event t fd;
-                  continue ()
-              | [ Rt_signal.Overflow ] -> overflow_recovery t ~k:continue
-              | [] -> continue ()
-              | _ :: _ :: _ -> assert false
-            end)
-    | Polling -> (
-        match t.poll_backend with
-        | None -> assert false
-        | Some backend ->
-            Backend.wait backend ~timeout:(Some until_sweep) ~k:(fun events ->
-                if not t.stopped then begin
-                  let rec take n l =
-                    match l with
-                    | [] -> []
-                    | _ :: _ when n <= 0 -> []
-                    | x :: rest -> x :: take (n - 1) rest
-                  in
-                  List.iter
-                    (fun ev ->
-                      if ev.Backend.fd = t.listen_fd then accept_pending t
-                      else handle_conn_event t ev.Backend.fd)
-                    (take t.config.max_events_per_iter events);
-                  continue ()
-                end))
-  end
+let after_signals core _ ~overflowed =
+  if overflowed then overflow_recovery core else Server_core.resume core
+
+(* Only the poll sibling keeps an interest set to update. *)
+let on_sibling f core fd =
+  match (Server_core.state core).phase with
+  | Sibling b -> f b fd
+  | Signal_worker | Handing_off -> ()
+
+let policy =
+  {
+    Server_core.register =
+      (fun core fd ->
+        let st = Server_core.state core in
+        match st.phase with
+        | Sibling b -> Backend.add b fd Pollmask.pollin
+        | Signal_worker | Handing_off ->
+            ignore (Kernel.fcntl_setsig st.worker fd ~signo:st.config.signo));
+    read_on_accept = true;
+    (* The unfinished server's connection bookkeeping walks state that
+       grows with every open connection — the cache-pressure cost the
+       paper suspects behind Figures 12-13. Charged per handled event,
+       in both signal and polling modes. *)
+    charge_event =
+      (fun core ->
+        Kernel.compute (Server_core.proc core)
+          (Time.mul (Server_core.state core).config.conn_table_cost_per_conn
+             (Server_core.connection_count core)));
+    charge_stale = true;
+    (* In signal mode F_SETSIG already delivers POLLOUT edges through
+       the same queue; the poll sibling must switch its recorded
+       interest to writable. *)
+    want_pollout = on_sibling (fun b fd -> Backend.modify b fd Pollmask.pollout);
+    forget = on_sibling Backend.remove;
+    wait =
+      (fun core timeout ->
+        let st = Server_core.state core in
+        match st.phase with
+        | Sibling backend ->
+            Server_core.wait_backend core backend ~max:st.config.max_events_per_iter
+              ~timeout ~k:(fun core _ -> Server_core.resume core)
+        | Signal_worker | Handing_off ->
+            (* One event per syscall: sigwaitinfo semantics with the
+               idle sweep's timeout. *)
+            Server_core.wait_signals core ~max:1 ~timeout ~k:after_signals);
+  }
 
 let start ~proc ?(config = default_config) () =
-  match Kernel.listen proc ~backlog:config.backlog with
-  | Error (`Emfile | `Ebadf | `Eagain | `Einval) -> Error `Emfile
-  | Ok listen_fd ->
-      let listener =
-        match Process.lookup_socket proc listen_fd with
-        | Some s -> s
-        | None -> assert false
-      in
+  Server_core.start ~proc ~backlog:config.backlog ~conn:config.conn
+    ~idle_timeout:config.idle_timeout ~sweep_period:config.sweep_period
+    ~sweep_cost_per_conn:config.sweep_cost_per_conn ~sample_interval:config.sample_interval
+    ~policy ~setup:(fun listen_fd ->
       let sibling =
         Process.create ~host:(Process.host proc)
           ~fd_limit:(Fd_table.limit (Process.fds proc))
           ~name:(Process.name proc ^ "-poll-sibling")
           ()
       in
-      let t =
-        {
-          proc;
-          sibling;
-          config;
-          listen_fd;
-          listener;
-          conns = Fd_map.create ~initial_capacity:256 ();
-          stats = Server_stats.create ~sample_interval:config.sample_interval ();
-          mode = Signals;
-          handing_off = false;
-          poll_backend = None;
-          next_sweep = Time.add (Host.now (Process.host proc)) config.sweep_period;
-          stopped = false;
-        }
-      in
       ignore (Kernel.fcntl_setsig proc listen_fd ~signo:config.signo);
-      loop t;
-      Ok t
+      Ok { config; worker = proc; sibling; phase = Signal_worker })
 
-let listener t = t.listener
-let stats t = t.stats
-let connection_count t = Fd_map.length t.conns
-let mode t = t.mode
-let is_handing_off t = t.handing_off
-let sibling t = t.sibling
-let stop t = t.stopped <- true
+let listener = Server_core.listener
+let stats = Server_core.stats
+let connection_count = Server_core.connection_count
+
+let mode core =
+  match (Server_core.state core).phase with
+  | Sibling _ -> Polling
+  | Signal_worker | Handing_off -> Signals
+
+let is_handing_off core =
+  match (Server_core.state core).phase with
+  | Handing_off -> true
+  | Signal_worker | Sibling _ -> false
+
+let sibling core = (Server_core.state core).sibling
+let stop = Server_core.stop

@@ -1,4 +1,5 @@
-(** A phhttpd-style RT-signal-driven web server.
+(** A phhttpd-style RT-signal-driven web server: a {!Server_core}
+    policy.
 
     Faithful to the behaviour the paper measured, including its warts:
 
@@ -45,9 +46,10 @@ type config = {
 
 val default_config : config
 
-type mode = Signals | Polling
+type mode = Server_core.mode = Signals | Polling
 
-type t
+type state
+type t = state Server_core.t
 
 val start : proc:Process.t -> ?config:config -> unit -> (t, [ `Emfile ]) result
 val listener : t -> Socket.t

@@ -1,12 +1,10 @@
-(** A thttpd-style single-process event-driven web server.
+(** A thttpd-style single-process event-driven web server: the
+    {!Server_core} loop over one {!Backend}, which every descriptor is
+    registered with.
 
-    One loop: wait for events on the backend, accept everything
-    pending on the listener, drive readable connections through
-    {!Conn}, periodically sweep idle connections (the mechanism that
-    times out the benchmark's inactive clients). The backend decides
-    whether this is "stock thttpd using normal poll()" or "thttpd
-    modified to use /dev/poll" — the server code is identical, which
-    is the point of the paper's Section 3. *)
+    The backend decides whether this is "stock thttpd using normal
+    poll()" or "thttpd modified to use /dev/poll" — the server code is
+    identical, which is the point of the paper's Section 3. *)
 
 open Sio_sim
 open Sio_kernel
@@ -32,7 +30,8 @@ type config = {
 
 val default_config : config
 
-type t
+type state
+type t = state Server_core.t
 
 val start :
   proc:Process.t -> backend:Backend.t -> ?config:config -> unit -> (t, [ `Emfile ]) result
@@ -42,7 +41,6 @@ val start :
 val listener : t -> Socket.t
 val stats : t -> Server_stats.t
 val connection_count : t -> int
-val config : t -> config
 
 val stop : t -> unit
 (** The loop exits after the current iteration; no further accepts or

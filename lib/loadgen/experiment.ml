@@ -93,74 +93,36 @@ let with_fs cfg host =
     hybrid = { cfg.hybrid with Sio_httpd.Hybrid.conn = conn_of cfg.hybrid.Sio_httpd.Hybrid.conn };
   }
 
-let thttpd_on cfg proc backend label =
-  match Thttpd.start ~proc ~backend ~config:cfg.thttpd () with
-  | Ok t ->
-      {
-        listener = Thttpd.listener t;
-        stats = Thttpd.stats t;
-        stop = (fun () -> Thttpd.stop t);
-        mode = (fun () -> label);
-      }
-  | Error `Emfile -> failwith ("Experiment: thttpd+" ^ label ^ " failed to start")
-
 let start_server cfg proc =
+  let started name mode = function
+    | Ok t ->
+        {
+          listener = Server_core.listener t;
+          stats = Server_core.stats t;
+          stop = (fun () -> Server_core.stop t);
+          mode = (fun () -> mode t);
+        }
+    | Error `Emfile -> failwith ("Experiment: " ^ name ^ " failed to start")
+  in
+  let thttpd label backend =
+    started ("thttpd+" ^ label) (fun _ -> label) (Thttpd.start ~proc ~backend ~config:cfg.thttpd ())
+  in
   match cfg.kind with
-  | Thttpd_select -> thttpd_on cfg proc (Backend.select proc) "select"
-  | Thttpd_epoll { max_events } ->
-      thttpd_on cfg proc (Backend.epoll ~max_events proc) "epoll"
-  | Thttpd_poll -> (
-      let backend = Backend.poll proc in
-      match Thttpd.start ~proc ~backend ~config:cfg.thttpd () with
-      | Ok t ->
-          {
-            listener = Thttpd.listener t;
-            stats = Thttpd.stats t;
-            stop = (fun () -> Thttpd.stop t);
-            mode = (fun () -> "poll");
-          }
-      | Error `Emfile -> failwith "Experiment: thttpd+poll failed to start")
+  | Thttpd_select -> thttpd "select" (Backend.select proc)
+  | Thttpd_poll -> thttpd "poll" (Backend.poll proc)
+  | Thttpd_epoll { max_events } -> thttpd "epoll" (Backend.epoll ~max_events proc)
   | Thttpd_devpoll { use_mmap; max_events } -> (
       match Backend.devpoll ~use_mmap ~max_events proc with
-      | Error `Emfile -> failwith "Experiment: /dev/poll open failed"
-      | Ok backend -> (
-          match Thttpd.start ~proc ~backend ~config:cfg.thttpd () with
-          | Ok t ->
-              {
-                listener = Thttpd.listener t;
-                stats = Thttpd.stats t;
-                stop = (fun () -> Thttpd.stop t);
-                mode = (fun () -> "devpoll");
-              }
-          | Error `Emfile -> failwith "Experiment: thttpd+devpoll failed to start"))
-  | Phhttpd -> (
-      match Phhttpd.start ~proc ~config:cfg.phhttpd () with
-      | Ok t ->
-          {
-            listener = Phhttpd.listener t;
-            stats = Phhttpd.stats t;
-            stop = (fun () -> Phhttpd.stop t);
-            mode =
-              (fun () ->
-                match Phhttpd.mode t with
-                | Phhttpd.Signals -> "signals"
-                | Phhttpd.Polling -> "polling");
-          }
-      | Error `Emfile -> failwith "Experiment: phhttpd failed to start")
-  | Hybrid -> (
-      match Hybrid.start ~proc ~config:cfg.hybrid () with
-      | Ok t ->
-          {
-            listener = Hybrid.listener t;
-            stats = Hybrid.stats t;
-            stop = (fun () -> Hybrid.stop t);
-            mode =
-              (fun () ->
-                match Hybrid.mode t with
-                | Hybrid.Signals -> "signals"
-                | Hybrid.Polling -> "polling");
-          }
-      | Error `Emfile -> failwith "Experiment: hybrid failed to start")
+      | Ok backend -> thttpd "devpoll" backend
+      | Error `Emfile -> failwith "Experiment: /dev/poll open failed")
+  | Phhttpd ->
+      started "phhttpd"
+        (fun t -> Server_core.string_of_mode (Phhttpd.mode t))
+        (Phhttpd.start ~proc ~config:cfg.phhttpd ())
+  | Hybrid ->
+      started "hybrid"
+        (fun t -> Server_core.string_of_mode (Hybrid.mode t))
+        (Hybrid.start ~proc ~config:cfg.hybrid ())
 
 let run_gen ?arrivals ?measure ?mem_pool cfg =
   let engine = Engine.create ~seed:cfg.seed () in

@@ -130,16 +130,65 @@ let test_thttpd_many_conns () =
   Alcotest.(check int) "replies" 50 (Thttpd.stats t).Server_stats.replies;
   Thttpd.stop t
 
-let test_thttpd_idle_sweep () =
+(* --- every server --- *)
+
+(* The three servers behind one handle, on [proc] (default: the
+   world's), with the idle sweep's timeout and period. thttpd runs on
+   /dev/poll. *)
+type server = {
+  listener : Socket.t;
+  stats : Server_stats.t;
+  connection_count : unit -> int;
+  stop : unit -> unit;
+}
+
+let servers = [ "thttpd"; "phhttpd"; "hybrid" ]
+
+let start_server name ?proc ?(idle_timeout = Time.s 60) ?(sweep_period = Time.s 10) w =
+  let proc = Option.value proc ~default:w.proc in
+  let ok = function Ok t -> t | Error `Emfile -> Alcotest.fail (name ^ " start failed") in
+  match name with
+  | "thttpd" ->
+      let config = { Thttpd.default_config with Thttpd.idle_timeout; sweep_period } in
+      let t = ok (Thttpd.start ~proc ~backend:(devpoll_backend proc) ~config ()) in
+      {
+        listener = Thttpd.listener t;
+        stats = Thttpd.stats t;
+        connection_count = (fun () -> Thttpd.connection_count t);
+        stop = (fun () -> Thttpd.stop t);
+      }
+  | "phhttpd" ->
+      let config = { Phhttpd.default_config with Phhttpd.idle_timeout; sweep_period } in
+      let t = ok (Phhttpd.start ~proc ~config ()) in
+      {
+        listener = Phhttpd.listener t;
+        stats = Phhttpd.stats t;
+        connection_count = (fun () -> Phhttpd.connection_count t);
+        stop = (fun () -> Phhttpd.stop t);
+      }
+  | "hybrid" ->
+      let config = { Hybrid.default_config with Hybrid.idle_timeout; sweep_period } in
+      let t = ok (Hybrid.start ~proc ~config ()) in
+      {
+        listener = Hybrid.listener t;
+        stats = Hybrid.stats t;
+        connection_count = (fun () -> Hybrid.connection_count t);
+        stop = (fun () -> Hybrid.stop t);
+      }
+  | _ -> invalid_arg name
+
+(* Every accepted connection is accounted for exactly once: replied,
+   dropped by its peer, timed out by the sweep, or still open. *)
+let check_conservation srv =
+  let s = srv.stats in
+  Alcotest.(check int) "accepted = replies + dropped + timed out + open"
+    s.Server_stats.accepted
+    (s.Server_stats.replies + s.Server_stats.dropped_conns + s.Server_stats.timed_out_conns
+   + srv.connection_count ())
+
+let test_idle_sweep name () =
   let w = mk_world () in
-  let config =
-    { Thttpd.default_config with Thttpd.idle_timeout = Time.s 2; sweep_period = Time.s 1 }
-  in
-  let t =
-    match Thttpd.start ~proc:w.proc ~backend:(devpoll_backend w.proc) ~config () with
-    | Ok t -> t
-    | Error `Emfile -> Alcotest.fail "start failed"
-  in
+  let srv = start_server name ~idle_timeout:(Time.s 2) ~sweep_period:(Time.s 1) w in
   (* A client that sends half a request and goes quiet. *)
   let fin = ref false in
   let handlers =
@@ -149,27 +198,51 @@ let test_thttpd_idle_sweep () =
       on_server_fin = (fun _ -> fin := true);
     }
   in
-  ignore (Tcp.connect ~net:w.net ~listener:(Thttpd.listener t) ~handlers ());
+  ignore (Tcp.connect ~net:w.net ~listener:srv.listener ~handlers ());
   Engine.run ~until:(Time.s 6) w.engine;
   Alcotest.(check bool) "server timed the idle conn out" true !fin;
-  Alcotest.(check int) "counted" 1 (Thttpd.stats t).Server_stats.timed_out_conns;
-  Alcotest.(check int) "no reply" 0 (Thttpd.stats t).Server_stats.replies;
-  Thttpd.stop t
+  Alcotest.(check int) "counted" 1 srv.stats.Server_stats.timed_out_conns;
+  Alcotest.(check int) "no reply" 0 srv.stats.Server_stats.replies;
+  Alcotest.(check int) "no fd refusals" 0 srv.stats.Server_stats.emfile_drops;
+  check_conservation srv;
+  srv.stop ()
 
-let test_thttpd_client_abort () =
+let test_client_abort name () =
   let w = mk_world () in
-  let t = thttpd_with devpoll_backend w in
+  let srv = start_server name w in
   let conn = ref None in
   let handlers =
     { Tcp.null_handlers with Tcp.on_established = (fun c -> conn := Some c) }
   in
-  ignore (Tcp.connect ~net:w.net ~listener:(Thttpd.listener t) ~handlers ());
+  ignore (Tcp.connect ~net:w.net ~listener:srv.listener ~handlers ());
   Engine.run ~until:(Time.ms 10) w.engine;
   (match !conn with Some c -> Tcp.client_abort c | None -> Alcotest.fail "no conn");
   Engine.run ~until:(Time.s 1) w.engine;
-  Alcotest.(check int) "dropped" 1 (Thttpd.stats t).Server_stats.dropped_conns;
-  Alcotest.(check int) "conn table drained" 0 (Thttpd.connection_count t);
-  Thttpd.stop t
+  Alcotest.(check int) "dropped" 1 srv.stats.Server_stats.dropped_conns;
+  Alcotest.(check int) "conn table drained" 0 (srv.connection_count ());
+  Alcotest.(check int) "no fd refusals" 0 srv.stats.Server_stats.emfile_drops;
+  check_conservation srv;
+  srv.stop ()
+
+(* More simultaneous clients than free descriptors: the accepts past
+   the fd limit fail with EMFILE, are counted, and the connections
+   that did get a descriptor are still served. *)
+let test_fd_limit name () =
+  let w = mk_world () in
+  let proc = Process.create ~host:w.host ~fd_limit:6 ~name:"small" () in
+  let srv = start_server name ~proc w in
+  let clients = 10 in
+  let getters = List.init clients (fun _ -> quick_conn w srv.listener) in
+  Engine.run ~until:(Time.s 2) w.engine;
+  let s = srv.stats in
+  Alcotest.(check bool) "accepts refused for lack of fds" true (s.Server_stats.emfile_drops > 0);
+  Alcotest.(check int) "every client accepted or refused" clients
+    (s.Server_stats.accepted + s.Server_stats.emfile_drops);
+  Alcotest.(check int) "every accepted client served" s.Server_stats.accepted
+    (List.length (List.filter (fun got -> got () = expected_bytes) getters));
+  Alcotest.(check int) "replies" s.Server_stats.accepted s.Server_stats.replies;
+  check_conservation srv;
+  srv.stop ()
 
 (* --- phhttpd --- *)
 
@@ -297,9 +370,6 @@ let suite =
       test_thttpd_chunked_requests;
     Alcotest.test_case "thttpd serves 50 concurrent connections" `Quick
       test_thttpd_many_conns;
-    Alcotest.test_case "thttpd idle sweep times out silent clients" `Quick
-      test_thttpd_idle_sweep;
-    Alcotest.test_case "thttpd client abort" `Quick test_thttpd_client_abort;
     Alcotest.test_case "phhttpd serves via RT signals" `Quick test_phhttpd_serves;
     Alcotest.test_case "phhttpd overflow switches to polling forever" `Quick
       test_phhttpd_overflow_switches_to_polling;
@@ -310,3 +380,13 @@ let suite =
     Alcotest.test_case "hybrid recovers from overflow and switches back" `Quick
       test_hybrid_overflow_recovers_and_returns;
   ]
+  @ List.concat_map
+      (fun name ->
+        [
+          Alcotest.test_case (name ^ " idle sweep times out silent clients") `Quick
+            (test_idle_sweep name);
+          Alcotest.test_case (name ^ " client abort") `Quick (test_client_abort name);
+          Alcotest.test_case (name ^ " refuses accepts past the fd limit") `Quick
+            (test_fd_limit name);
+        ])
+      servers
