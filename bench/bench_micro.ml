@@ -44,6 +44,9 @@ let interest_find =
   [@@lint.ignore "throwaway probe table: the whole Interest_table is dropped after the \
                   measurement, so there is nothing to remove entry-by-entry"]
 
+(* Hoisted so the benchmark bodies allocate no option of their own. *)
+let poll_now = Some Time.zero
+
 let zero_env n =
   let engine = Engine.create () in
   let host = Host.create ~engine ~costs:Cost_model.zero () in
@@ -59,7 +62,7 @@ let poll_scan n =
      let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
      Staged.stage (fun () ->
          Poll.wait ~host ~lookup:(Hashtbl.find_opt sockets) ~interests
-           ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+           ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
 let devpoll_scan n =
@@ -68,7 +71,7 @@ let devpoll_scan n =
      let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
      Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
      Staged.stage (fun () ->
-         Devpoll.dp_poll dev ~max_results:64 ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+         Devpoll.dp_poll dev ~max_results:64 ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
 (* The incremental ready sets: persistent poll/select sets and the
@@ -85,7 +88,7 @@ let pset_scan n =
        Poll.Pset.set set fd Pollmask.pollin
      done;
      Staged.stage (fun () ->
-         Poll.Pset.wait_set set ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+         Poll.Pset.wait_set set ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
 let sset_scan n =
@@ -96,7 +99,7 @@ let sset_scan n =
        Select.Sset.add set fd Pollmask.pollin
      done;
      Staged.stage (fun () ->
-         Select.Sset.wait_sset set ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+         Select.Sset.wait_sset set ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
 let devpoll_scan_active n k =
@@ -108,8 +111,26 @@ let devpoll_scan_active n k =
        ignore (Socket.deliver (Hashtbl.find sockets fd) ~bytes_len:1 ~payload:"")
      done;
      Staged.stage (fun () ->
-         Devpoll.dp_poll dev ~max_results:k ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+         Devpoll.dp_poll dev ~max_results:k ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
+
+let epoll_wait_ready n k =
+  Test.make ~name:(Printf.sprintf "epoll_wait, %d ready of %d" k n)
+    (let engine, host, sockets = zero_env n in
+     let ep = Epoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
+     for fd = 0 to n - 1 do
+       ignore (Epoll.ctl_add ep ~fd ~events:Pollmask.pollin ())
+     done;
+     (* Delivered bytes are never read: level-triggered, the same k
+        descriptors are harvested and re-armed every wait. *)
+     for fd = 0 to k - 1 do
+       ignore (Socket.deliver (Hashtbl.find sockets fd) ~bytes_len:1 ~payload:"")
+     done;
+     Staged.stage (fun () ->
+         Epoll.wait ep ~max_events:64 ~timeout:poll_now ~k:ignore;
+         Engine.run engine))
+  [@@lint.ignore "throwaway probe instance: the whole epoll set is dropped after the \
+                  measurement, so there is nothing to delete interest-by-interest"]
 
 let ready_set_tests =
   Test.make_grouped ~name:"ready-set"
@@ -118,6 +139,7 @@ let ready_set_tests =
       sset_scan 1000;
       devpoll_scan_active 1000 8;
       devpoll_scan_active 1000 64;
+      epoll_wait_ready 1000 8;
     ]
 
 let rt_enqueue_dequeue =
@@ -338,9 +360,9 @@ let tests =
 (* Machine-readable mirror of the printed table, for commit alongside
    the repo (BENCH_micro.json) and the README perf note. Each row
    carries host wall time and minor-heap allocation per operation; the
-   latter is what `make bench-check` gates for the arena and fd-map
-   groups (allocation is near-deterministic, so a regression there is
-   a structural change, not noise). *)
+   latter is what `make bench-check` gates for the event, wait, arena,
+   fd-map and data-plane groups (allocation is deterministic, so a
+   regression there is a structural change, not noise). *)
 let write_json path rows =
   let oc = open_out path in
   Printf.fprintf oc
@@ -360,42 +382,77 @@ let write_json path rows =
   Printf.fprintf oc "  ]\n}\n";
   close_out oc
 
+(* Minor words per operation, counted rather than estimated: run the
+   benchmark body a fixed number of times after a warm-up (so buffers
+   have grown to their working size) and divide the [Gc.minor_words]
+   delta. Bechamel's regression estimate of the same quantity read 0.0
+   for bodies that allocate a few words per call. The run count is
+   [counted_runs], cut down for slow bodies to about [counted_budget_ns]
+   of host time by the measured ns/op; a body allocates the same words
+   every call once warm, so the count does not move the figure. *)
+let counted_runs = 2000
+let counted_budget_ns = 50_000_000.
+
+let counted_words elt ~ns_per_op =
+  let runs =
+    match ns_per_op with
+    | Some ns when ns > 0. ->
+        Stdlib.max 10 (Stdlib.min counted_runs (int_of_float (counted_budget_ns /. ns)))
+    | Some _ | None -> counted_runs
+  in
+  match Test.Elt.fn elt with
+  | Test.V { fn; kind = Test.Uniq; allocate; free } ->
+      let resource = allocate () in
+      let f = fn `Init in
+      let body () = ignore (Sys.opaque_identity (f (Test.Uniq.prj resource))) in
+      for _ = 1 to Stdlib.max 5 (runs / 10) do
+        body ()
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        body ()
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int runs in
+      free resource;
+      Some words
+  | Test.V { kind = Test.Multiple; _ } -> None
+
 let run ?json_out ppf =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let clock = Instance.monotonic_clock in
-  let alloc = Instance.minor_allocated in
-  let instances = [ clock; alloc ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.25) ~stabilize:true ()
   in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let merged = Analyze.merge ols instances results in
+  let raw = Benchmark.all cfg [ clock ] tests in
+  let merged = Analyze.merge ols [ clock ] [ Analyze.all ols clock raw ] in
   let estimate r =
     match Analyze.OLS.estimates r with
     | Some (est :: _) -> Some est
     | Some [] | None -> None
   in
-  (* Host-side report; rows of each measure table are sorted before
-     anything observes their order. *)
-  let measure_rows witness =
-    match Hashtbl.find_opt merged (Measure.label witness) with
+  (* Host-side report; rows are sorted before anything observes their
+     order. *)
+  let ns_rows =
+    match Hashtbl.find_opt merged (Measure.label clock) with
     | None -> []
     | Some tbl ->
         List.sort
           (fun (a, _) (b, _) -> compare (a : string) b)
           (Hashtbl.fold (fun name r acc -> (name, estimate r) :: acc) tbl [])
   in
-  let ns_rows = measure_rows clock in
-  let word_rows = measure_rows alloc in
+  let words =
+    List.map
+      (fun elt ->
+        let name = Test.Elt.name elt in
+        let ns_per_op = Option.join (List.assoc_opt name ns_rows) in
+        (name, counted_words elt ~ns_per_op))
+      (Test.elements tests)
+  in
   let rows =
     List.map
-      (fun (name, ns) ->
-        (name, ns, Option.join (List.assoc_opt name word_rows)))
+      (fun (name, ns) -> (name, ns, Option.join (List.assoc_opt name words)))
       ns_rows
   in
   Fmt.pf ppf

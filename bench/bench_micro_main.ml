@@ -52,16 +52,18 @@ let parse_results path =
 
 let tolerance = 3.0
 
-(* Allocation gate: minor words per op are near-deterministic (no
-   machine-load noise), so the tolerance is tight. Applied only to the
-   groups whose whole point is their allocation profile — the arena
+(* Allocation gate: minor words per op are counted over a fixed loop,
+   so they are deterministic and the tolerance is tight. Applied to
+   the groups whose whole point is their allocation profile — the
+   event engine (schedule and fire must stay allocation-free), the
+   notification waits (one reusable batch per instance), the arena
    (connection state must stay a thin handle), the fd-map (ordered
    iteration must not re-grow snapshot allocations), and the
    data-plane (per-send ring accounting must stay heap-free). The
-   small absolute slack absorbs GC sampling jitter on near-zero
-   rows. *)
+   absolute slack keeps a zero row from failing on a word of
+   warm-up growth. *)
 let alloc_tolerance = 1.5
-let alloc_slack_words = 16.0
+let alloc_slack_words = 1.0
 
 let alloc_gated name =
   let contains_sub s sub =
@@ -69,8 +71,11 @@ let alloc_gated name =
     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
     go 0
   in
-  contains_sub name "arena/" || contains_sub name "fd-map/"
-  || contains_sub name "data-plane/"
+  List.exists (contains_sub name)
+    [
+      "event schedule+fire"; "DP_POLL"; "ready-set/"; "RT signal"; "arena/"; "fd-map/";
+      "data-plane/";
+    ]
 
 let check committed_path =
   if not (Sys.file_exists committed_path) then begin

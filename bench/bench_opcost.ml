@@ -94,8 +94,8 @@ let rt_event_cost ~batch n_events =
       let rec drain () =
         if !remaining > 0 then
           Rt_signal.sigtimedwait4 q ~max:batch ~timeout:(Some Time.zero) ~k:(fun ds ->
-              remaining := !remaining - List.length ds;
-              if List.length ds > 0 then drain ())
+              remaining := !remaining - Ready_batch.length ds;
+              if Ready_batch.length ds > 0 then drain ())
       in
       drain ();
       Engine.run engine)

@@ -89,10 +89,10 @@ let () =
           in
           Kernel.poll proc ~interests ~timeout:(Some Time.zero) ~k:(fun results ->
               Fmt.pr "   recovery poll() found %d ready descriptors:@."
-                (List.length results);
+                (Sio_kernel.Ready_batch.length results);
               List.iter
-                (fun r -> Fmt.pr "     fd %d: %a@." r.Poll.fd Pollmask.pp r.Poll.revents)
-                results)
+                (fun (fd, revents) -> Fmt.pr "     fd %d: %a@." fd Pollmask.pp revents)
+                (Sio_kernel.Ready_batch.to_list results))
       | Rt_signal.Signal _ -> Fmt.pr "<- unexpected RT signal before SIGIO@.");
   Engine.run ~until:(Time.ms 10) engine;
   Fmt.pr "@.moral: the RT queue is a bounded resource; servers must keep poll() ready@.";

@@ -284,7 +284,7 @@ let vocab = function
   | "write" | "except" | "nfds" | "fds" | "max_fd" | "count" | "total" | "sockets" ->
       Some "interests"
   | "ready" | "results" | "rs" | "events" | "ds" | "max_results" | "max_events"
-  | "max" | "waiters" | "wq" | "batch" | "heap" ->
+  | "max" | "waiters" | "wq" | "batch" | "heap" | "requeue" ->
       Some "ready"
   | _ -> None
 

@@ -99,6 +99,11 @@ let dispatch t fd mask =
   | Some w -> w.callback mask
   | None -> () (* stale event for an unwatched descriptor *)
 
+let dispatch_batch t batch =
+  for i = 0 to Ready_batch.length batch - 1 do
+    dispatch t (Ready_batch.fd batch i) (Ready_batch.mask batch i)
+  done
+
 (* Recovery poll over the entire watch set: the paper's prescription
    after an RT-signal queue overflow. Fd_map iterates in ascending fd
    order, so the poll (and therefore dispatch) order is a function of
@@ -108,32 +113,25 @@ let recovery_poll t ~k =
   let interests =
     List.rev (Fd_map.fold t.watches ~init:[] ~f:(fun acc fd w -> (fd, w.events) :: acc))
   in
-  Kernel.poll t.proc ~interests ~timeout:(Some Time.zero) ~k:(fun results ->
-      List.iter (fun r -> dispatch t r.Sio_kernel.Poll.fd r.Sio_kernel.Poll.revents) results;
+  Kernel.poll t.proc ~interests ~timeout:(Some Time.zero) ~k:(fun batch ->
+      dispatch_batch t batch;
       k ())
 
 let rec loop t =
   if not t.stopped then begin
     match t.notifier with
     | Via_backend b ->
-        Sio_httpd.Backend.wait b ~timeout:(Some (Time.s 10)) ~k:(fun events ->
+        Sio_httpd.Backend.wait b ~timeout:(Some (Time.s 10)) ~k:(fun batch ->
             if not t.stopped then begin
-              List.iter
-                (fun ev -> dispatch t ev.Sio_httpd.Backend.fd ev.Sio_httpd.Backend.mask)
-                events;
+              dispatch_batch t batch;
               Kernel.yield t.proc (fun () -> loop t)
             end)
     | Via_signals { batch; _ } ->
-        Kernel.sigtimedwait4 t.proc ~max:batch ~timeout:(Some (Time.s 10))
-          ~k:(fun deliveries ->
+        Kernel.sigtimedwait4 t.proc ~max:batch ~timeout:(Some (Time.s 10)) ~k:(fun signals ->
             if not t.stopped then begin
-              let overflowed = ref false in
-              List.iter
-                (function
-                  | Rt_signal.Signal { fd; band; _ } -> dispatch t fd band
-                  | Rt_signal.Overflow -> overflowed := true)
-                deliveries;
-              if !overflowed then begin
+              (* Each signal's band is its event mask. *)
+              dispatch_batch t signals;
+              if Ready_batch.overflowed signals then begin
                 ignore (Kernel.flush_signals t.proc);
                 recovery_poll t ~k:(fun () -> Kernel.yield t.proc (fun () -> loop t))
               end

@@ -32,6 +32,7 @@ module Process = Sio_kernel.Process
 module Kernel = Sio_kernel.Kernel
 module Socket = Sio_kernel.Socket
 module Pollmask = Sio_kernel.Pollmask
+module Ready_batch = Sio_kernel.Ready_batch
 module Poll = Sio_kernel.Poll
 module Devpoll = Sio_kernel.Devpoll
 module Rt_signal = Sio_kernel.Rt_signal

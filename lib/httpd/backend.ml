@@ -1,14 +1,12 @@
 open Sio_sim
 open Sio_kernel
 
-type event = { fd : int; mask : Pollmask.t }
-
 type impl = {
   name : string;
   add : int -> Pollmask.t -> unit;
   modify : int -> Pollmask.t -> unit;
   remove : int -> unit;
-  wait : timeout:Time.t option -> k:(event list -> unit) -> unit;
+  wait : timeout:Time.t option -> k:(Ready_batch.t -> unit) -> unit;
   interest_count : unit -> int;
 }
 
@@ -20,9 +18,6 @@ let modify t fd mask = t.modify fd mask
 let remove t fd = t.remove fd
 let wait t ~timeout ~k = t.wait ~timeout ~k
 let interest_count t = t.interest_count ()
-
-let to_events results =
-  List.map (fun r -> { fd = r.Poll.fd; mask = r.Poll.revents }) results
 
 let poll proc =
   (* User-space interest set; insertion order preserved so the pollfd
@@ -40,8 +35,7 @@ let poll proc =
     add = (fun fd mask -> Poll.Pset.set set fd mask);
     modify = (fun fd mask -> if Poll.Pset.mem set fd then Poll.Pset.set set fd mask);
     remove = (fun fd -> Poll.Pset.remove set fd);
-    wait =
-      (fun ~timeout ~k -> Poll.Pset.wait_set set ~timeout ~k:(fun rs -> k (to_events rs)));
+    wait = (fun ~timeout ~k -> Poll.Pset.wait_set set ~timeout ~k);
     interest_count = (fun () -> Poll.Pset.length set);
   }
 
@@ -52,24 +46,22 @@ let devpoll ?(use_mmap = true) ?(max_events = 64) proc =
       if use_mmap then
         ignore (Kernel.devpoll_alloc_map proc dpfd ~slots:max_events);
       let count = ref 0 in
-      let write entries = ignore (Kernel.devpoll_write proc dpfd entries) in
+      let write fd mask = ignore (Kernel.devpoll_write_one proc dpfd fd mask) in
       Ok
         {
           name = (if use_mmap then "devpoll" else "devpoll-nommap");
           add =
             (fun fd mask ->
               incr count;
-              write [ (fd, mask) ]);
-          modify = (fun fd mask -> write [ (fd, mask) ]);
+              write fd mask);
+          modify = write;
           remove =
             (fun fd ->
               decr count;
-              write [ (fd, Pollmask.pollremove) ]);
+              write fd Pollmask.pollremove);
           wait =
             (fun ~timeout ~k ->
-              ignore
-                (Kernel.devpoll_wait proc dpfd ~max_results:max_events ~timeout
-                   ~k:(fun rs -> k (to_events rs))));
+              ignore (Kernel.devpoll_wait proc dpfd ~max_results:max_events ~timeout ~k));
           interest_count = (fun () -> !count);
         }
 
@@ -80,28 +72,13 @@ let select proc =
       ~lookup:(Process.lookup_socket proc)
       ()
   in
-  let to_events result =
-    let events = ref [] in
-    Fd_set.iter result.Select.except (fun fd ->
-        events := { fd; mask = Pollmask.pollerr } :: !events);
-    Fd_set.iter result.Select.writable (fun fd ->
-        events := { fd; mask = Pollmask.pollout } :: !events);
-    Fd_set.iter result.Select.readable (fun fd ->
-        match !events with
-        | { fd = fd'; mask } :: rest when fd' = fd ->
-            events := { fd; mask = Pollmask.union mask Pollmask.pollin } :: rest
-        | _ -> events := { fd; mask = Pollmask.pollin } :: !events);
-    !events
-  in
   let add fd mask = Select.Sset.add set fd mask in
   {
     name = "select";
     add;
     modify = add;
     remove = (fun fd -> Select.Sset.remove set fd);
-    wait =
-      (fun ~timeout ~k ->
-        Select.Sset.wait_sset set ~timeout ~k:(fun result -> k (to_events result)));
+    wait = (fun ~timeout ~k -> Select.Sset.wait_sset set ~timeout ~k);
     interest_count = (fun () -> Select.Sset.interest_count set);
   }
 
@@ -117,8 +94,6 @@ let epoll ?(max_events = 64) proc =
         | Error `Ebadf -> ());
     modify = (fun fd mask -> ignore (Epoll.ctl_mod ep ~fd ~events:mask));
     remove = (fun fd -> ignore (Epoll.ctl_del ep ~fd));
-    wait =
-      (fun ~timeout ~k ->
-        Epoll.wait ep ~max_events ~timeout ~k:(fun rs -> k (to_events rs)));
+    wait = (fun ~timeout ~k -> Epoll.wait ep ~max_events ~timeout ~k);
     interest_count = (fun () -> Epoll.interest_count ep);
   }

@@ -10,8 +10,6 @@
 open Sio_sim
 open Sio_kernel
 
-type event = { fd : int; mask : Pollmask.t }
-
 type t
 
 val name : t -> string
@@ -22,9 +20,11 @@ val add : t -> int -> Pollmask.t -> unit
 val modify : t -> int -> Pollmask.t -> unit
 val remove : t -> int -> unit
 
-val wait : t -> timeout:Time.t option -> k:(event list -> unit) -> unit
+val wait : t -> timeout:Time.t option -> k:(Ready_batch.t -> unit) -> unit
 (** Wait for the next batch of events (at most the backend's
-    [max_events] per call). *)
+    [max_events] per call): descriptors with their ready masks, in
+    the mechanism's reporting order. The batch belongs to the backend
+    and is valid until its next [wait]. *)
 
 val interest_count : t -> int
 

@@ -43,13 +43,12 @@ type send_state = {
 
 type t = {
   fd : int;
-  buf : Buffer.t;
+  mutable request : string; (* text read so far; usually one segment *)
   mutable last_activity : Sio_sim.Time.t;
   mutable send : send_state option;
 }
 
-let create ~fd ~now =
-  { fd; buf = Buffer.create 128; last_activity = now; send = None }
+let create ~fd ~now = { fd; request = ""; last_activity = now; send = None }
 
 let with_fd t ~fd = { t with fd }
 
@@ -110,7 +109,7 @@ let resolve_path proc config t ~not_found ~body_bytes =
 
 let respond proc config t =
   Kernel.compute proc config.parse_cost;
-  match Http.parse_request (Buffer.contents t.buf) with
+  match Http.parse_request t.request with
   | Error (`Incomplete | `Malformed) ->
       (* Junk request: drop the connection, as thttpd does. *)
       ignore (Kernel.close proc t.fd);
@@ -141,8 +140,10 @@ let handle_event proc config t ~now =
   | None -> (
       match Kernel.read proc t.fd with
       | Ok (Kernel.Data (text, _bytes)) ->
-          Buffer.add_string t.buf text;
-          if Http.is_complete (Buffer.contents t.buf) then respond proc config t
+          (* The request normally arrives in one segment and is kept
+             as delivered; only a split request is concatenated. *)
+          t.request <- (if t.request = "" then text else t.request ^ text);
+          if Http.is_complete t.request then respond proc config t
           else begin
             Kernel.compute proc config.read_spin_cost;
             Again

@@ -63,11 +63,13 @@ let switch_to_signals core =
       st.mode <- Signals;
       Server_core.resume core)
 
-let after_signals core ds ~overflowed =
+let after_signals core batch =
   let st = Server_core.state core in
+  let overflowed = Ready_batch.overflowed batch in
   (* A run of full batches means the queue is backing up: switch
-     before it overflows. *)
-  if List.length ds >= st.config.sigtimedwait4_batch then
+     before it overflows. The SIGIO counts as one of the batch. *)
+  let delivered = Ready_batch.length batch + if overflowed then 1 else 0 in
+  if delivered >= st.config.sigtimedwait4_batch then
     st.full_batch_streak <- st.full_batch_streak + 1
   else st.full_batch_streak <- 0;
   if overflowed then begin
@@ -81,8 +83,8 @@ let after_signals core ds ~overflowed =
   end;
   Server_core.resume core
 
-let after_poll core events =
-  if List.length events < (Server_core.state core).config.low_watermark then
+let after_poll core batch =
+  if Ready_batch.length batch < (Server_core.state core).config.low_watermark then
     switch_to_signals core
   else Server_core.resume core
 

@@ -52,7 +52,7 @@ type t = state Server_core.t
    is shared; only the descriptor changes hands (and number).
    [on_emfile] disposes of a socket the sibling has no room for. *)
 let transfer_fd st ~backend ~mask ~on_emfile fd =
-  match Fd_table.close (Process.fds st.worker) fd with
+  match Process.close_fd st.worker fd with
   | Some (Process.Sock sock) when Socket.state sock <> Socket.Closed -> (
       match Process.install_socket st.sibling sock with
       | Ok new_fd ->
@@ -113,8 +113,8 @@ let overflow_recovery core =
       let moved = transfer_fd st ~backend ~mask:Pollmask.pollin ~on_emfile:Socket.close fd in
       go (Option.value moved ~default:fd) entries)
 
-let after_signals core _ ~overflowed =
-  if overflowed then overflow_recovery core else Server_core.resume core
+let after_signals core batch =
+  if Ready_batch.overflowed batch then overflow_recovery core else Server_core.resume core
 
 (* Only the poll sibling keeps an interest set to update. *)
 let on_sibling f core fd =

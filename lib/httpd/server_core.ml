@@ -19,6 +19,12 @@ type 'p t = {
   state : 'p;
   mutable next_sweep : Time.t;
   mutable stopped : bool;
+  (* The wait in progress: at most [max] events to dispatch, then
+     [k]. [on_batch] is the one continuation every wait hands the
+     kernel, built once per server. *)
+  mutable max : int;
+  mutable k : 'p t -> Ready_batch.t -> unit;
+  mutable on_batch : Ready_batch.t -> unit;
 }
 
 and 'p policy = {
@@ -87,18 +93,10 @@ let dispatch t fd = if fd = t.listen_fd then accept_pending t else handle_conn_e
 
 (* Bounded per-iteration work: events past [max] stay ready and
    reappear in the next level-triggered scan. *)
-let rec dispatch_events t ~max = function
-  | { Backend.fd; _ } :: rest when max > 0 ->
-      dispatch t fd;
-      dispatch_events t ~max:(max - 1) rest
-  | _ -> ()
-
-let rec dispatch_signals t overflowed = function
-  | [] -> overflowed
-  | Rt_signal.Signal { fd; _ } :: rest ->
-      dispatch t fd;
-      dispatch_signals t overflowed rest
-  | Rt_signal.Overflow :: rest -> dispatch_signals t true rest
+let dispatch_batch t batch ~max =
+  for i = 0 to Stdlib.min max (Ready_batch.length batch) - 1 do
+    dispatch t (Ready_batch.fd batch i)
+  done
 
 (* Walk all connections, closing the ones idle past the timeout. This
    is thttpd's periodic timer: its cost scales with the number of open
@@ -126,16 +124,26 @@ and resume t =
   if now t >= t.next_sweep then sweep t;
   Kernel.yield t.proc (fun () -> loop t)
 
-let wait_backend t backend ~max ~timeout ~k =
-  Backend.wait backend ~timeout:(Some timeout) ~k:(fun events ->
-      if not t.stopped then begin
-        dispatch_events t ~max events;
-        k t events
-      end)
+let on_batch t batch =
+  if not t.stopped then begin
+    let k = t.k in
+    dispatch_batch t batch ~max:t.max;
+    k t batch
+  end
 
+let wait_backend t backend ~max ~timeout ~k =
+  t.max <- max;
+  t.k <- k;
+  Backend.wait backend ~timeout:(Some timeout) ~k:t.on_batch
+
+(* A signal batch is dispatched whole, in delivery order; an overflow
+   SIGIO ahead of it is left to [k] (see {!Ready_batch.overflowed}). *)
 let wait_signals t ~max ~timeout ~k =
-  Kernel.sigtimedwait4 t.proc ~max ~timeout:(Some timeout) ~k:(fun ds ->
-      if not t.stopped then k t ds ~overflowed:(dispatch_signals t false ds))
+  t.max <- max_int;
+  t.k <- k;
+  Kernel.sigtimedwait4 t.proc ~max ~timeout:(Some timeout) ~k:t.on_batch
+
+let no_k _ _ = ()
 
 let start ~proc ~backlog ~conn ~idle_timeout ~sweep_period ~sweep_cost_per_conn
     ~sample_interval ~policy ~setup =
@@ -165,8 +173,12 @@ let start ~proc ~backlog ~conn ~idle_timeout ~sweep_period ~sweep_cost_per_conn
               state;
               next_sweep = Time.add (Host.now (Process.host proc)) sweep_period;
               stopped = false;
+              max = 0;
+              k = no_k;
+              on_batch = ignore;
             }
           in
+          t.on_batch <- on_batch t;
           loop t;
           Ok t)
 

@@ -48,18 +48,16 @@ val start :
     policy needs, register the listener), and starts the loop. *)
 
 val wait_backend :
-  'p t -> Backend.t -> max:int -> timeout:Time.t -> k:('p t -> Backend.event list -> unit) -> unit
+  'p t -> Backend.t -> max:int -> timeout:Time.t -> k:('p t -> Ready_batch.t -> unit) -> unit
 (** Wait on the backend; unless stopped, dispatch at most [max] events
-    and pass the whole batch to [k]. *)
+    and pass the whole batch to [k]. The batch is the backend's (valid
+    until its next wait). *)
 
 val wait_signals :
-  'p t ->
-  max:int ->
-  timeout:Time.t ->
-  k:('p t -> Rt_signal.delivery list -> overflowed:bool -> unit) ->
-  unit
+  'p t -> max:int -> timeout:Time.t -> k:('p t -> Ready_batch.t -> unit) -> unit
 (** sigtimedwait4; unless stopped, dispatch every signal in order and
-    pass the batch to [k], noting whether it held the overflow SIGIO. *)
+    pass the batch to [k], whose {!Ready_batch.overflowed} tells
+    whether the overflow SIGIO came with it. *)
 
 val resume : 'p t -> unit
 (** Sweep if due, then yield and wait again. *)

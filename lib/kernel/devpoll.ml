@@ -15,65 +15,73 @@ type t = {
   key : int; (* attach key naming this instance's subscriptions *)
   table : Interest_table.t;
   subs : Socket.t Fd_map.t; (* fd -> socket the backmap is installed on *)
-  active : Interest_table.interest Fd_map.t;
-      (* Conservative superset of the interests whose next probe might
-         do more than a hint-check skip. Everything outside it is
-         idle-certified: socket present and backmapped, hints
-         supported, hint empty, cached status not ready — so a probe
-         would charge exactly interest_hash_op + hint_check and bump
-         hint_skips. Scans visit only this set on the host and charge
-         the idle majority analytically. *)
+  mutable active : int;
+      (* How many interests are marked [active]. The marks are a
+         conservative superset of the interests whose next probe might
+         do more than a hint-check skip.
+         Everything else is idle-certified: socket present and
+         backmapped, hints supported, hint empty, cached status not
+         ready — so a probe would charge exactly interest_hash_op +
+         hint_check and bump hint_skips. Scans probe only the marked
+         interests on the host and charge the idle majority
+         analytically. *)
   wq : Socket.waiter Wait_queue.t; (* sleepers inside dp_poll *)
-  ready : Poll.result Ready_buffer.t; (* reused by every scan *)
+  mutable wake_mask : Pollmask.t; (* the edge [wake_one] passes on *)
+  mutable wake_one : Socket.waiter -> unit;
+  slot : Wait_slot.t; (* DP_POLL results and the sleeping caller *)
+  (* Walk state of the scan in progress, kept here rather than in
+     refs the walk's callback would capture: the callback is closed,
+     so a scan allocates no closure. *)
+  mutable batch : Ready_batch.t;
+  mutable max_results : int;
+  mutable actives : int; (* active interests not yet probed *)
+  mutable visited : int;
+  mutable idle_seen : int;
   mutable result_slots : int option;
   mutable closed : bool;
 }
-
-let create ~host ~lookup =
-  {
-    host;
-    lookup;
-    key = Socket.new_attach_key ();
-    table = Interest_table.create ();
-    subs = Fd_map.create ~initial_capacity:64 ();
-    active = Fd_map.create ~initial_capacity:64 ();
-    wq = Wait_queue.create ();
-    ready = Ready_buffer.create ~initial_capacity:64 ();
-    result_slots = None;
-    closed = false;
-  }
 
 let check_open t = if t.closed then invalid_arg "Devpoll: instance is closed"
 
 (* Wake any task sleeping in dp_poll on this instance. *)
 let wake_sleepers t mask =
-  let costs = t.host.Host.costs in
-  ignore
-    (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy (fun w ->
-         let counters = t.host.Host.counters in
-         counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-         ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
-         w.Socket.wake mask))
+  if not (Wait_queue.is_empty t.wq) then begin
+    t.wake_mask <- mask;
+    ignore (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy t.wake_one)
+  end
 
-let mark_active t fd =
-  match Interest_table.find t.table fd with
-  | Some interest -> Fd_map.set t.active fd interest
-  | None -> ()
+(* One woken sleeper: charged, then handed the edge being posted. Built
+   once per instance so a wakeup allocates no closure. *)
+let wake_one t w =
+  let counters = t.host.Host.counters in
+  counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
+  ignore (Host.charge t.host t.host.Host.costs.Cost_model.wait_queue_wake);
+  w.Socket.wake t.wake_mask
+
+let mark_active t (interest : Interest_table.interest) =
+  if not interest.active then begin
+    interest.active <- true;
+    t.active <- t.active + 1
+  end
+
+let certify_idle t (interest : Interest_table.interest) =
+  if interest.active then begin
+    interest.active <- false;
+    t.active <- t.active - 1
+  end
 
 (* Install the backmap subscription for fd on its current socket: the
    driver posts hints into the interest record and wakes sleepers. The
    uncharged watcher rides along to invalidate idle certification on
    any readiness edge (or hint-support toggle). *)
-let subscribe t fd (sock : Socket.t) =
+let subscribe t (interest : Interest_table.interest) (sock : Socket.t) =
+  let fd = interest.fd in
   let token =
     Socket.subscribe sock (fun mask ->
-        (match Interest_table.find t.table fd with
-        | Some interest ->
-            interest.Interest_table.hint <- Pollmask.union interest.Interest_table.hint mask
-        | None -> ());
+        interest.hint <- Pollmask.union interest.hint mask;
         wake_sleepers t mask)
   in
-  let wtoken = Socket.add_watcher sock (fun () -> mark_active t fd) in
+  let wtoken = Socket.add_watcher sock (fun () -> mark_active t interest) in
   Socket.attach sock ~key:t.key (Dp_sub { token; wtoken });
   Fd_map.set t.subs fd sock
 
@@ -94,37 +102,52 @@ let unsubscribe t fd =
       | None -> ());
       ignore (Fd_map.remove t.subs fd)
 
-let write t entries =
-  check_open t;
+(* One pollfd entry of a write(2): add, replace or (POLLREMOVE)
+   delete an interest. *)
+let change t fd events =
   let costs = t.host.Host.costs in
-  let counters = t.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  ignore (Host.charge t.host costs.Cost_model.backmap_write_lock);
-  List.iter
-    (fun (fd, events) ->
-      ignore (Host.charge t.host costs.Cost_model.devpoll_write_per_change);
-      if Pollmask.mem Pollmask.pollremove events then begin
-        unsubscribe t fd;
-        ignore (Interest_table.remove t.table fd);
-        ignore (Fd_map.remove t.active fd)
-      end
-      else begin
-        ignore (Interest_table.set t.table ~fd ~events);
+  ignore (Host.charge t.host costs.Cost_model.devpoll_write_per_change);
+  if Pollmask.mem Pollmask.pollremove events then begin
+    unsubscribe t fd;
+    (match Interest_table.find t.table fd with
+    | Some interest -> certify_idle t interest
+    | None -> ());
+    ignore (Interest_table.remove t.table fd)
+  end
+  else begin
+    ignore (Interest_table.set t.table ~fd ~events);
+    match Interest_table.find t.table fd with
+    | None -> () (* [set] has just stored it *)
+    | Some interest -> (
         (* New or modified interests must be re-probed: [set] resets
            hint and cache, so idle certification no longer holds. *)
-        mark_active t fd;
+        mark_active t interest;
         match t.lookup fd with
         | Some sock -> (
             match Fd_map.find t.subs fd with
             | Some installed when Socket.id installed = Socket.id sock -> ()
             | Some _ ->
                 unsubscribe t fd;
-                subscribe t fd sock
-            | None -> subscribe t fd sock)
-        | None -> unsubscribe t fd
-      end)
-    entries
+                subscribe t interest sock
+            | None -> subscribe t interest sock)
+        | None -> unsubscribe t fd)
+  end
+
+let enter_write t =
+  check_open t;
+  let costs = t.host.Host.costs in
+  let counters = t.host.Host.counters in
+  counters.Host.syscalls <- counters.Host.syscalls + 1;
+  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
+  ignore (Host.charge t.host costs.Cost_model.backmap_write_lock)
+
+let write t entries =
+  enter_write t;
+  List.iter (fun (fd, events) -> change t fd events) entries
+
+let write_one t fd events =
+  enter_write t;
+  change t fd events
 
 let alloc_result_map t ~slots =
   check_open t;
@@ -144,6 +167,13 @@ let has_result_map t = t.result_slots <> None
 
 let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
 
+let consult_driver (interest : Interest_table.interest) sock =
+  let st = Socket.driver_poll sock in
+  interest.cached <- st;
+  interest.cache_valid <- true;
+  interest.hint <- Pollmask.empty;
+  st
+
 (* Examine one interest, spending as little as the hints allow. *)
 let probe t (interest : Interest_table.interest) =
   let costs = t.host.Host.costs in
@@ -158,42 +188,34 @@ let probe t (interest : Interest_table.interest) =
       | Some installed when Socket.id installed = Socket.id sock -> ()
       | Some _ | None ->
           unsubscribe t fd;
-          subscribe t fd sock;
-          interest.Interest_table.hint <- Pollmask.empty;
-          interest.Interest_table.cached <- None);
-      let consult_driver () =
-        let st = Socket.driver_poll sock in
-        interest.Interest_table.cached <- Some st;
-        interest.Interest_table.hint <- Pollmask.empty;
-        st
-      in
+          subscribe t interest sock;
+          interest.hint <- Pollmask.empty;
+          interest.cache_valid <- false);
       let st =
-        if not (Socket.hints_supported sock) then consult_driver ()
+        if not (Socket.hints_supported sock) then consult_driver interest sock
         else begin
           ignore (Host.charge t.host costs.Cost_model.hint_check);
-          if not (Pollmask.is_empty interest.Interest_table.hint) then consult_driver ()
+          if not (Pollmask.is_empty interest.hint) then consult_driver interest sock
+          else if not interest.cache_valid then consult_driver interest sock
+          else if
+            Pollmask.is_empty
+              (Pollmask.inter interest.cached (Pollmask.union interest.events forced))
+          then begin
+            (* Cached "not ready" with no hint: trust it. *)
+            counters.Host.hint_skips <- counters.Host.hint_skips + 1;
+            interest.cached
+          end
           else
-            match interest.Interest_table.cached with
-            | Some cached
-              when Pollmask.is_empty
-                     (Pollmask.inter cached
-                        (Pollmask.union interest.Interest_table.events forced)) ->
-                (* Cached "not ready" with no hint: trust it. *)
-                counters.Host.hint_skips <- counters.Host.hint_skips + 1;
-                cached
-            | Some _ ->
-                (* Cached "ready" must be revalidated: hints never
-                   report ready-to-not-ready transitions. *)
-                consult_driver ()
-            | None -> consult_driver ()
+            (* Cached "ready" must be revalidated: hints never report
+               ready-to-not-ready transitions. *)
+            consult_driver interest sock
         end
       in
-      let revents = Pollmask.inter st (Pollmask.union interest.Interest_table.events forced) in
+      let revents = Pollmask.inter st (Pollmask.union interest.events forced) in
       (* Idle certification: a not-ready result under hinting leaves
          hint empty and cache not-ready, so until the socket's watcher
          fires, re-probing would be exactly hash + hint-check + skip. *)
-      if Pollmask.is_empty revents && Socket.hints_supported sock then
-        ignore (Fd_map.remove t.active fd);
+      if Pollmask.is_empty revents && Socket.hints_supported sock then certify_idle t interest;
       revents
 
 (* Charge [count] idle-certified interests in bulk: each would probe
@@ -221,40 +243,90 @@ let charge_idle t count =
    tail in bulk. Charged nanoseconds and counters are identical to the
    full walk — only the charge *order* within the scan differs, and
    Cpu.consume is additive with no engine interleaving mid-scan. *)
-let[@complexity "O(active)"] scan t ~max_results =
-  Ready_buffer.clear t.ready;
+(* Fill the wait slot's batch, stopping — probes and table walk both
+   — the moment it is full. Returns the ready count; the batch stays
+   valid until the next scan on this instance.
+
+   Host cost is O(active): when nothing is active the whole table is
+   one analytic charge; otherwise the walk skips idle-certified
+   entries (counting them for the bulk charge) and exits as soon as
+   the last active interest has been probed, charging the unvisited
+   tail in bulk. Charged nanoseconds and counters are identical to the
+   full walk — only the charge *order* within the scan differs, and
+   Cpu.consume is additive with no engine interleaving mid-scan. *)
+let[@complexity "O(active)"] scan t ~max_results batch =
+  Ready_batch.clear batch;
   let total = Interest_table.length t.table in
-  if Fd_map.length t.active = 0 then begin
+  if t.active = 0 then begin
     charge_idle t total;
     0
   end
   else begin
-    let remaining = ref (Fd_map.length t.active) in
-    let visited = ref 0 in
-    let idle_seen = ref 0 in
-    Interest_table.iter_while t.table ~f:(fun interest ->
-        if Ready_buffer.length t.ready >= max_results then false
-        else if !remaining = 0 then false
+    t.batch <- batch;
+    t.max_results <- max_results;
+    t.actives <- t.active;
+    t.visited <- 0;
+    t.idle_seen <- 0;
+    Interest_table.iter_while t.table t ~f:(fun t interest ->
+        if Ready_batch.length t.batch >= t.max_results then false
+        else if t.actives = 0 then false
         else begin
-          incr visited;
-          if Fd_map.mem t.active interest.Interest_table.fd then begin
+          t.visited <- t.visited + 1;
+          if interest.Interest_table.active then begin
             (* Count before probing: probe may re-certify this entry
                idle, but never touches other entries' marks. *)
-            decr remaining;
+            t.actives <- t.actives - 1;
             let revents = probe t interest in
             if not (Pollmask.is_empty revents) then
-              Ready_buffer.push t.ready { Poll.fd = interest.Interest_table.fd; revents }
+              Ready_batch.push t.batch interest.Interest_table.fd revents
           end
-          else incr idle_seen;
+          else t.idle_seen <- t.idle_seen + 1;
           true
         end);
     (* The unvisited tail is all idle — but only charge it if the
-       buffer has room: a full buffer stops the real walk cold. *)
-    if Ready_buffer.length t.ready < max_results then
-      idle_seen := !idle_seen + (total - !visited);
-    charge_idle t !idle_seen;
-    Ready_buffer.length t.ready
+       batch has room: a full batch stops the real walk cold. *)
+    if Ready_batch.length batch < max_results then
+      t.idle_seen <- t.idle_seen + (total - t.visited);
+    charge_idle t t.idle_seen;
+    Ready_batch.length batch
   end
+
+let create ~host ~lookup =
+  let t =
+    {
+      host;
+      lookup;
+      key = Socket.new_attach_key ();
+      table = Interest_table.create ();
+      subs = Fd_map.create ~initial_capacity:64 ();
+      active = 0;
+      wq = Wait_queue.create ();
+      wake_mask = Pollmask.empty;
+      wake_one = ignore;
+      slot = Wait_slot.create ~host;
+      batch = Ready_batch.create ~initial_capacity:1 ();
+      max_results = 1;
+      actives = 0;
+      visited = 0;
+      idle_seen = 0;
+      result_slots = None;
+      closed = false;
+    }
+  in
+  let costs = host.Host.costs in
+  t.wake_one <- wake_one t;
+  Wait_slot.set_hooks t.slot
+    ~rescan:(fun ~cap batch -> scan t ~max_results:cap batch)
+    ~sleep:(fun w -> Wait_queue.register t.wq w)
+    ~unsleep:(fun w -> ignore (Wait_queue.unregister t.wq w))
+    ~copyout:(fun batch ->
+      (* With the shared mapping there is nothing to copy out. *)
+      if t.result_slots = None then
+        ignore
+          (Host.charge host
+             (Time.mul costs.Cost_model.poll_copyout_per_ready (Ready_batch.length batch))))
+    ();
+  t
 
 let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   check_open t;
@@ -263,69 +335,28 @@ let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   let counters = t.host.Host.counters in
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  let finish results =
-    (* With the shared mapping there is nothing to copy out. *)
-    if t.result_slots = None then
-      ignore
-        (Host.charge t.host
-           (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-    Host.charge_run t.host ~cost:Time.zero (fun () -> k results)
-  in
-  (* The reusable buffer must be materialized before [finish] hands
-     control away: the continuation may re-enter dp_poll and rescan. *)
-  let finish_ready () = finish (Ready_buffer.to_list t.ready) in
-  let cap =
+  let max_results =
     match t.result_slots with
     | Some slots -> Stdlib.min max_results slots
     | None -> max_results
   in
-  if scan t ~max_results:cap > 0 then finish_ready ()
+  let slot = Wait_slot.begin_call t.slot ~cap:max_results ~k in
+  if scan t ~max_results (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
   else
     match timeout with
-    | Some x when x <= Time.zero -> finish []
+    | Some x when x <= Time.zero -> Wait_slot.complete slot
     | _ ->
-        let timer = ref None in
-        let waiter_ref = ref None in
-        let cleanup () =
-          (match !waiter_ref with
-          | Some w -> ignore (Wait_queue.unregister t.wq w)
-          | None -> ());
-          match !timer with
-          | Some h ->
-              Engine.cancel t.host.Host.engine h;
-              timer := None
-          | None -> ()
-        in
-        let rec on_wake _mask =
-          cleanup ();
-          if scan t ~max_results:cap > 0 then finish_ready ()
-          else begin
-            let w = { Socket.wake = on_wake } in
-            waiter_ref := Some w;
-            Wait_queue.register t.wq w;
-            arm_timer ()
-          end
-        and arm_timer () =
-          match timeout with
-          | None -> ()
-          | Some x ->
-              timer :=
-                Some
-                  (Engine.after t.host.Host.engine x (fun () ->
-                       timer := None;
-                       cleanup ();
-                       finish []))
-        in
-        let w = { Socket.wake = on_wake } in
-        waiter_ref := Some w;
-        Wait_queue.register t.wq w;
         ignore (Host.charge t.host costs.Cost_model.wait_queue_register);
-        arm_timer ()
+        Wait_slot.block slot ~timeout
 
 let interest_count t = Interest_table.length t.table
 let find_interest t fd = Interest_table.find t.table fd
-let active_count t = Fd_map.length t.active
-let active_fds t = List.map fst (Fd_map.to_list t.active)
+let active_count t = t.active
+
+let active_fds t =
+  List.sort compare
+    (Interest_table.fold t.table ~init:[] ~f:(fun acc (i : Interest_table.interest) ->
+         if i.active then i.fd :: acc else acc))
 
 let close t =
   if not t.closed then begin
@@ -337,7 +368,8 @@ let close t =
             Socket.detach sock ~key:t.key
         | None -> ());
     Fd_map.clear t.subs;
-    Fd_map.clear t.active;
+    Interest_table.iter t.table (fun i -> i.Interest_table.active <- false);
+    t.active <- 0;
     t.closed <- true
   end
 

@@ -38,6 +38,10 @@ val write : t -> (int * Pollmask.t) list -> unit
     {!Interest_table.set}). Charges syscall entry plus a per-change
     cost and the backmap write lock. *)
 
+val write_one : t -> int -> Pollmask.t -> unit
+(** [write_one t fd events] is [write t [ (fd, events) ]] without
+    building the list: the per-connection add/modify/remove path. *)
+
 val alloc_result_map : t -> slots:int -> unit
 (** ioctl(DP_ALLOC) followed by mmap(): subsequent polls report
     through the shared mapping. Raises [Invalid_argument] if [slots]
@@ -52,11 +56,12 @@ val dp_poll :
   t ->
   max_results:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   unit
 (** ioctl(DP_POLL): scan the interest set and return up to
     [max_results] ready descriptors; sleep when none are ready
-    ([timeout] as in {!Poll.wait}). *)
+    ([timeout] as in {!Poll.wait}). The batch is the instance's own,
+    valid until its next DP_POLL (see {!Wait_slot}). *)
 
 val interest_count : t -> int
 val find_interest : t -> int -> Interest_table.interest option

@@ -9,6 +9,7 @@ type interest = {
   mutable queued : bool; (* already on the ready list *)
   mutable pending : Pollmask.t; (* accumulated edges (edge mode) *)
   mutable token : int; (* observer subscription *)
+  self : interest option; (* [Some] of this record, for [interest_of] *)
 }
 
 (* The interest record is arena-native: it lives in the socket's
@@ -20,42 +21,73 @@ type interest = {
    while their interest is still registered. *)
 type Conn_arena.cold += Ep_interest of interest
 
+(* The ready list: a growable ring of fds, first in first out, that
+   allocates nothing once grown. *)
+module Fifo = struct
+  type t = { mutable ring : int array; mutable head : int; mutable len : int }
+
+  let create () = { ring = Array.make 64 0; head = 0; len = 0 }
+  let is_empty q = q.len = 0
+  let length q = q.len
+
+  let clear q =
+    q.head <- 0;
+    q.len <- 0
+
+  let add fd q =
+    let cap = Array.length q.ring in
+    if q.len = cap then begin
+      let ring = Array.make (2 * cap) 0 in
+      for i = 0 to q.len - 1 do
+        ring.(i) <- q.ring.((q.head + i) mod cap)
+      done;
+      q.ring <- ring;
+      q.head <- 0
+    end;
+    q.ring.((q.head + q.len) mod Array.length q.ring) <- fd;
+    q.len <- q.len + 1
+
+  let take q =
+    let fd = q.ring.(q.head) in
+    q.head <- (q.head + 1) mod Array.length q.ring;
+    q.len <- q.len - 1;
+    fd
+end
+
 type t = {
   host : Host.t;
   lookup : int -> Socket.t option;
   key : int; (* attach key naming this instance's interests *)
   watched : Socket.t Fd_map.t; (* fd -> socket at registration time *)
-  ready : int Queue.t;
+  ready : Fifo.t;
   wq : Socket.waiter Wait_queue.t;
+  mutable wake_mask : Pollmask.t; (* the edge [wake_one] passes on *)
+  mutable wake_one : Socket.waiter -> unit;
+  slot : Wait_slot.t; (* epoll_wait results and the sleeping caller *)
+  requeue : interest Ready_buffer.t; (* level-triggered results to re-arm *)
   mutable closed : bool;
 }
 
-let create ~host ~lookup =
-  {
-    host;
-    lookup;
-    key = Socket.new_attach_key ();
-    watched = Fd_map.create ~initial_capacity:64 ();
-    ready = Queue.create ();
-    wq = Wait_queue.create ();
-    closed = false;
-  }
-
 let interest_of t socket =
   match Socket.attachment socket ~key:t.key with
-  | Some (Ep_interest i) -> Some i
+  | Some (Ep_interest i) -> i.self
   | Some _ | None -> None
 
 let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
 
 let wake_sleepers t mask =
-  let costs = t.host.Host.costs in
-  ignore
-    (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy (fun w ->
-         let counters = t.host.Host.counters in
-         counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-         ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
-         w.Socket.wake mask))
+  if not (Wait_queue.is_empty t.wq) then begin
+    t.wake_mask <- mask;
+    ignore (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy t.wake_one)
+  end
+
+(* One woken sleeper: charged, then handed the edge being posted. Built
+   once per instance so a wakeup allocates no closure. *)
+let wake_one t w =
+  let counters = t.host.Host.counters in
+  counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
+  ignore (Host.charge t.host t.host.Host.costs.Cost_model.wait_queue_wake);
+  w.Socket.wake t.wake_mask
 
 (* The hint path: O(1) append to the ready list. *)
 let enqueue_ready t interest mask =
@@ -65,7 +97,7 @@ let enqueue_ready t interest mask =
   if (not interest.queued) && Pollmask.intersects mask (Pollmask.union interest.events forced)
   then begin
     interest.queued <- true;
-    Queue.add interest.fd t.ready
+    Fifo.add interest.fd t.ready
   end;
   wake_sleepers t mask
 
@@ -83,8 +115,16 @@ let ctl_add t ~fd ~events ?(trigger = Level) () =
     match t.lookup fd with
     | None -> Error `Ebadf
     | Some socket ->
-        let interest =
-          { fd; events; trigger; queued = false; pending = Pollmask.empty; token = 0 }
+        let rec interest =
+          {
+            fd;
+            events;
+            trigger;
+            queued = false;
+            pending = Pollmask.empty;
+            token = 0;
+            self = Some interest;
+          }
         in
         interest.token <- Socket.subscribe socket (fun mask -> enqueue_ready t interest mask);
         Socket.attach socket ~key:t.key (Ep_interest interest);
@@ -94,7 +134,7 @@ let ctl_add t ~fd ~events ?(trigger = Level) () =
         if Pollmask.intersects st (Pollmask.union events forced) then begin
           interest.pending <- st;
           interest.queued <- true;
-          Queue.add fd t.ready
+          Fifo.add fd t.ready
         end;
         Ok ()
 
@@ -114,7 +154,7 @@ let ctl_mod t ~fd ~events =
             && Pollmask.intersects st (Pollmask.union events forced)
           then begin
             interest.queued <- true;
-            Queue.add fd t.ready
+            Fifo.add fd t.ready
           end;
           Ok ())
 
@@ -131,15 +171,13 @@ let ctl_del t ~fd =
       (* A stale ready-list entry is dropped lazily at the next wait. *)
       Ok ()
 
-(* Pop up to [max] valid ready entries, validating each against the
-   driver: O(ready), never O(interests). *)
-let[@complexity "O(ready)"] harvest t ~max_events =
-  let results = ref [] in
-  let n = ref 0 in
-  let requeue = ref [] in
-  let continue = ref true in
-  while !continue && !n < max_events && not (Queue.is_empty t.ready) do
-    let fd = Queue.take t.ready in
+(* Pop up to [max_events] valid ready entries into [results],
+   validating each against the driver: O(ready), never O(interests). *)
+let[@complexity "O(ready)"] harvest t ~max_events results =
+  Ready_batch.clear results;
+  Ready_buffer.clear t.requeue;
+  while Ready_batch.length results < max_events && not (Fifo.is_empty t.ready) do
+    let fd = Fifo.take t.ready in
     match Fd_map.find t.watched fd with
     | None -> () (* deleted while queued *)
     | Some registered -> (
@@ -149,8 +187,7 @@ let[@complexity "O(ready)"] harvest t ~max_events =
         match t.lookup fd with
         | None ->
             (* Descriptor closed while queued: report NVAL once. *)
-            results := { Poll.fd; revents = Pollmask.pollnval } :: !results;
-            incr n
+            Ready_batch.push results fd Pollmask.pollnval
         | Some sock when Socket.id sock <> Socket.id registered ->
             (* fd reused by a different socket; epoll keys on the open
                file, so the old interest is dead. *)
@@ -175,20 +212,50 @@ let[@complexity "O(ready)"] harvest t ~max_events =
                 interest.pending <- Pollmask.empty;
                 if Pollmask.is_empty revents then () (* stale: readiness evaporated *)
                 else begin
-                  results := { Poll.fd; revents } :: !results;
-                  incr n;
+                  Ready_batch.push results fd revents;
                   (* Level-triggered and still ready: stays on the list. *)
-                  if interest.trigger = Level then requeue := interest :: !requeue
+                  if interest.trigger = Level then Ready_buffer.push t.requeue interest
                 end))
   done;
-  List.iter
-    (fun interest ->
-      if not interest.queued then begin
-        interest.queued <- true;
-        Queue.add interest.fd t.ready
-      end)
-    !requeue;
-  List.rev !results
+  (* Re-arm latest-harvested first: the order decides the next
+     harvest's, so it is visible in the simulation. *)
+  for i = Ready_buffer.length t.requeue - 1 downto 0 do
+    let interest = Ready_buffer.get t.requeue i in
+    if not interest.queued then begin
+      interest.queued <- true;
+      Fifo.add interest.fd t.ready
+    end
+  done;
+  Ready_batch.length results
+
+let create ~host ~lookup =
+  let t =
+    {
+      host;
+      lookup;
+      key = Socket.new_attach_key ();
+      watched = Fd_map.create ~initial_capacity:64 ();
+      ready = Fifo.create ();
+      wq = Wait_queue.create ();
+      wake_mask = Pollmask.empty;
+      wake_one = ignore;
+      slot = Wait_slot.create ~host;
+      requeue = Ready_buffer.create ();
+      closed = false;
+    }
+  in
+  t.wake_one <- wake_one t;
+  Wait_slot.set_hooks t.slot
+    ~rescan:(fun ~cap results -> harvest t ~max_events:cap results)
+    ~sleep:(fun w -> Wait_queue.register t.wq w)
+    ~unsleep:(fun w -> ignore (Wait_queue.unregister t.wq w))
+    ~copyout:(fun batch ->
+      ignore
+        (Host.charge host
+           (Time.mul host.Host.costs.Cost_model.poll_copyout_per_ready
+              (Ready_batch.length batch))))
+    ();
+  t
 
 let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
   if t.closed then invalid_arg "Epoll.wait: closed";
@@ -197,58 +264,15 @@ let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
   let counters = t.host.Host.counters in
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  let finish results =
-    ignore
-      (Host.charge t.host
-         (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-    Host.charge_run t.host ~cost:Time.zero (fun () -> k results)
-  in
-  let first = harvest t ~max_events in
-  if first <> [] then finish first
+  let slot = Wait_slot.begin_call t.slot ~cap:max_events ~k in
+  if harvest t ~max_events (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
   else
     match timeout with
-    | Some x when x <= Time.zero -> finish []
-    | _ ->
-        let timer = ref None in
-        let waiter_ref = ref None in
-        let cleanup () =
-          (match !waiter_ref with
-          | Some w -> ignore (Wait_queue.unregister t.wq w)
-          | None -> ());
-          match !timer with
-          | Some h ->
-              Engine.cancel t.host.Host.engine h;
-              timer := None
-          | None -> ()
-        in
-        let rec on_wake _mask =
-          cleanup ();
-          let results = harvest t ~max_events in
-          if results <> [] then finish results
-          else begin
-            let w = { Socket.wake = on_wake } in
-            waiter_ref := Some w;
-            Wait_queue.register t.wq w;
-            arm_timer ()
-          end
-        and arm_timer () =
-          match timeout with
-          | None -> ()
-          | Some x ->
-              timer :=
-                Some
-                  (Engine.after t.host.Host.engine x (fun () ->
-                       timer := None;
-                       cleanup ();
-                       finish []))
-        in
-        let w = { Socket.wake = on_wake } in
-        waiter_ref := Some w;
-        Wait_queue.register t.wq w;
-        arm_timer ()
+    | Some x when x <= Time.zero -> Wait_slot.complete slot
+    | _ -> Wait_slot.block slot ~timeout
 
 let interest_count t = Fd_map.length t.watched
-let ready_count t = Queue.length t.ready
+let ready_count t = Fifo.length t.ready
 
 let close t =
   if not t.closed then begin
@@ -258,6 +282,6 @@ let close t =
         | None -> ());
         Socket.detach socket ~key:t.key);
     Fd_map.clear t.watched;
-    Queue.clear t.ready;
+    Fifo.clear t.ready;
     t.closed <- true
   end

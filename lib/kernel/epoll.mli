@@ -36,12 +36,14 @@ val wait :
   t ->
   max_events:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   unit
 (** Pops up to [max_events] entries off the ready list, validating
     each against the driver (a stale entry whose readiness evaporated
     is dropped, per real epoll). Level-triggered descriptors that
-    remain ready are re-queued. Blocks when the list is empty. *)
+    remain ready are re-queued. Blocks when the list is empty. The
+    batch is the instance's own, valid until its next wait (see
+    {!Wait_slot}). *)
 
 val interest_count : t -> int
 val ready_count : t -> int

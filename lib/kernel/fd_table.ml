@@ -44,10 +44,10 @@ let set t fd v =
 let close t fd =
   match Fd_map.find t.slots fd with
   | None -> None
-  | Some v ->
+  | Some _ as found ->
       ignore (Fd_map.remove t.slots fd);
       if fd < t.search_from then t.search_from <- fd;
-      Some v
+      found
 
 let is_open t fd = Fd_map.mem t.slots fd
 let count t = Fd_map.length t.slots

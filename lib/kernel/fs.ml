@@ -56,7 +56,7 @@ let read_file t path =
       let pages = (f.bytes + t.page_bytes - 1) / t.page_bytes in
       for page = 0 to pages - 1 do
         ignore (Host.charge t.host page_probe_cost);
-        match Page_cache.touch t.cache { Page_cache.file_id = f.id; page } with
+        match Page_cache.touch t.cache ~file_id:f.id ~page with
         | `Hit -> ()
         | `Miss ->
             (* A synchronous disk read stalls the single-threaded

@@ -2,7 +2,9 @@ type interest = {
   fd : int;
   mutable events : Pollmask.t;
   mutable hint : Pollmask.t;
-  mutable cached : Pollmask.t option;
+  mutable cached : Pollmask.t;
+  mutable cache_valid : bool;
+  mutable active : bool;
 }
 
 type t = { mutable buckets : interest list array; mutable count : int }
@@ -18,12 +20,11 @@ let bucket_count t = Array.length t.buckets
 (* Fibonacci hashing of the fd; good spread for sequential fds. *)
 let slot t fd = fd * 0x61c88647 land max_int mod Array.length t.buckets
 
-let find t fd =
-  let rec go = function
-    | [] -> None
-    | i :: rest -> if i.fd = fd then Some i else go rest
-  in
-  go t.buckets.(slot t fd)
+let rec find_in fd = function
+  | [] -> None
+  | i :: rest -> if i.fd = fd then Some i else find_in fd rest
+
+let find t fd = find_in fd t.buckets.(slot t fd)
 
 let resize_if_needed t =
   if t.count >= 2 * Array.length t.buckets then begin
@@ -41,7 +42,10 @@ let resize_if_needed t =
 
 let add_new t fd events =
   let s = slot t fd in
-  t.buckets.(s) <- { fd; events; hint = Pollmask.empty; cached = None } :: t.buckets.(s);
+  t.buckets.(s) <-
+    { fd; events; hint = Pollmask.empty; cached = Pollmask.empty; cache_valid = false;
+      active = false }
+    :: t.buckets.(s);
   t.count <- t.count + 1;
   resize_if_needed t
 
@@ -50,7 +54,7 @@ let set t ~fd ~events =
   | Some i ->
       i.events <- events;
       i.hint <- Pollmask.empty;
-      i.cached <- None;
+      i.cache_valid <- false;
       `Modified
   | None ->
       add_new t fd events;
@@ -65,21 +69,32 @@ let set_solaris t ~fd ~events =
       add_new t fd events;
       `Added
 
+(* The chain without [fd]'s interest, other entries in order; a table
+   holds at most one interest per fd. *)
+let rec chain_remove fd = function
+  | [] -> raise Not_found
+  | i :: rest -> if i.fd = fd then rest else i :: chain_remove fd rest
+
 let remove t fd =
   let s = slot t fd in
-  let before = List.length t.buckets.(s) in
-  t.buckets.(s) <- List.filter (fun i -> i.fd <> fd) t.buckets.(s);
-  let removed = before - List.length t.buckets.(s) in
-  t.count <- t.count - removed;
-  removed > 0
+  match chain_remove fd t.buckets.(s) with
+  | chain ->
+      t.buckets.(s) <- chain;
+      t.count <- t.count - 1;
+      true
+  | exception Not_found -> false
 
 let iter t f = Array.iter (fun chain -> List.iter f chain) t.buckets
 
-let iter_while t ~f =
-  let n = Array.length t.buckets in
-  let rec go_chain = function [] -> true | i :: rest -> f i && go_chain rest in
-  let rec go_bucket b = b >= n || (go_chain t.buckets.(b) && go_bucket (b + 1)) in
-  ignore (go_bucket 0)
+(* Top-level walkers rather than local closures: a walk allocates
+   nothing. *)
+let rec chain_while f x = function [] -> true | i :: rest -> f x i && chain_while f x rest
+
+let rec buckets_while buckets f x b =
+  b >= Array.length buckets
+  || (chain_while f x buckets.(b) && buckets_while buckets f x (b + 1))
+
+let iter_while t ~f x = ignore (buckets_while t.buckets f x 0)
 
 let fold t ~init ~f =
   Array.fold_left (fun acc chain -> List.fold_left f acc chain) init t.buckets

@@ -14,8 +14,12 @@ type interest = {
   fd : int;
   mutable events : Pollmask.t;  (** subscribed events *)
   mutable hint : Pollmask.t;  (** driver-posted bits since last scan *)
-  mutable cached : Pollmask.t option;
-      (** last driver callback result, if still considered valid *)
+  mutable cached : Pollmask.t;
+      (** last driver callback result, meaningful while [cache_valid] *)
+  mutable cache_valid : bool;
+  mutable active : bool;
+      (** not idle-certified: the next DP_POLL scan must probe it (see
+          {!Devpoll.active_count}) *)
 }
 
 type t
@@ -44,8 +48,9 @@ val remove : t -> int -> bool
 val iter : t -> (interest -> unit) -> unit
 (** Iterates in unspecified order. *)
 
-val iter_while : t -> f:(interest -> bool) -> unit
-(** [iter_while t ~f] visits interests (same order as {!iter}) until
+val iter_while : t -> f:('a -> interest -> bool) -> 'a -> unit
+(** [iter_while t ~f x] visits interests (same order as {!iter}),
+    calling [f x interest], until
     [f] answers [false] — the early exit DP_POLL needs once its
     result buffer is full, instead of walking the rest of the table. *)
 

@@ -167,7 +167,7 @@ let ring_send proc fd ~bytes_len ~copy_bytes =
 let close proc fd =
   let host = enter proc Time.zero in
   let costs = host.Host.costs in
-  match Fd_table.close (Process.fds proc) fd with
+  match Process.close_fd proc fd with
   | None -> Error `Ebadf
   | Some (Process.Sock sock) ->
       ignore (Host.charge host costs.Cost_model.close_syscall);
@@ -213,6 +213,14 @@ let devpoll_write
   | None -> Error `Ebadf
   | Some dev ->
       Devpoll.write dev entries;
+      Ok ()
+
+let devpoll_write_one
+    proc dpfd fd events =
+  match Process.lookup_devpoll proc dpfd with
+  | None -> Error `Ebadf
+  | Some dev ->
+      Devpoll.write_one dev fd events;
       Ok ()
 
 let devpoll_alloc_map

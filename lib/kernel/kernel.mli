@@ -88,13 +88,18 @@ val poll :
   Process.t ->
   interests:(int * Pollmask.t) list ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   unit
 
 (** {1 /dev/poll} *)
 
 val devpoll_open : Process.t -> int syscall_result
 val devpoll_write : Process.t -> int -> (int * Pollmask.t) list -> unit syscall_result
+
+val devpoll_write_one : Process.t -> int -> int -> Pollmask.t -> unit syscall_result
+(** [devpoll_write_one proc dpfd fd events] writes a single pollfd
+    entry: {!devpoll_write} without the list. *)
+
 val devpoll_alloc_map : Process.t -> int -> slots:int -> unit syscall_result
 
 val devpoll_wait :
@@ -102,7 +107,7 @@ val devpoll_wait :
   int ->
   max_results:int ->
   timeout:Time.t option ->
-  k:(Poll.result list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   (unit, [ `Ebadf ]) result
 
 (** {1 RT signals} *)
@@ -113,7 +118,7 @@ val sigtimedwait4 :
   Process.t ->
   max:int ->
   timeout:Time.t option ->
-  k:(Rt_signal.delivery list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   unit
 
 val flush_signals : Process.t -> int

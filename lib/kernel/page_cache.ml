@@ -1,84 +1,83 @@
-type key = { file_id : int; page : int }
+(* A page is one int: the file id above [page_bits], the page index
+   below. *)
+let page_bits = 32
 
-(* Doubly linked LRU list over nodes indexed by a hash table. *)
-type node = {
-  key : key;
-  mutable prev : node option;
-  mutable next : node option;
-}
+let key ~file_id ~page =
+  if file_id < 0 || page < 0 || page lsr page_bits <> 0 then
+    invalid_arg "Page_cache: file id or page index out of range";
+  (file_id lsl page_bits) lor page
+
+let file_of key = key lsr page_bits
+
+(* Intrusive doubly linked LRU list, circular through a sentinel: the
+   sentinel's [next] is the most recently used page, its [prev] the
+   least. No option boxes on any link. *)
+type node = { key : int; mutable prev : node; mutable next : node }
+
+module Tbl = Hashtbl.Make (Int)
 
 type t = {
   capacity : int;
-  table : (key, node) Hashtbl.t;
-  mutable head : node option; (* most recently used *)
-  mutable tail : node option; (* least recently used *)
+  table : node Tbl.t;
+  lru : node; (* sentinel *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ~capacity_pages =
   if capacity_pages <= 0 then invalid_arg "Page_cache.create: capacity must be positive";
-  { capacity = capacity_pages; table = Hashtbl.create 256; head = None; tail = None;
-    hits = 0; misses = 0 }
+  let rec lru = { key = -1; prev = lru; next = lru } in
+  { capacity = capacity_pages; table = Tbl.create 256; lru; hits = 0; misses = 0 }
 
 let capacity t = t.capacity
-let resident t = Hashtbl.length t.table
+let resident t = Tbl.length t.table
 
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+let unlink node =
+  node.prev.next <- node.next;
+  node.next.prev <- node.prev
 
 let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
-  t.head <- Some node
+  node.prev <- t.lru;
+  node.next <- t.lru.next;
+  t.lru.next.prev <- node;
+  t.lru.next <- node
 
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some node ->
-      unlink t node;
-      Hashtbl.remove t.table node.key
-
-let touch t key =
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
+let touch t ~file_id ~page =
+  let key = key ~file_id ~page in
+  match Tbl.find t.table key with
+  | node ->
       t.hits <- t.hits + 1;
-      unlink t node;
+      unlink node;
       push_front t node;
       `Hit
-  | None ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
-      if Hashtbl.length t.table >= t.capacity then evict_lru t;
-      let node = { key; prev = None; next = None } in
-      Hashtbl.replace t.table key node;
+      if Tbl.length t.table >= t.capacity then begin
+        let victim = t.lru.prev in
+        unlink victim;
+        Tbl.remove t.table victim.key
+      end;
+      let rec node = { key; prev = node; next = node } in
+      Tbl.replace t.table key node;
       push_front t node;
       `Miss
 
-let contains t key = Hashtbl.mem t.table key
+let contains t ~file_id ~page = Tbl.mem t.table (key ~file_id ~page)
 let hits t = t.hits
 let misses t = t.misses
 
+(* Walks the LRU list, so the victims go in a fixed order. *)
 let invalidate_file t ~file_id =
-  (* All victims are unlinked and removed below; the resulting cache
-     state (and the returned count) is the same whatever order the
-     table enumerates them in. *)
-  let victims =
-    (Hashtbl.fold
-       (fun key node acc -> if key.file_id = file_id then (key, node) :: acc else acc)
-       t.table []
-    [@lint.ignore "every victim is removed; final LRU state is order-independent"])
+  let rec go node dropped =
+    if node == t.lru then dropped
+    else begin
+      let next = node.next in
+      if file_of node.key = file_id then begin
+        unlink node;
+        Tbl.remove t.table node.key;
+        go next (dropped + 1)
+      end
+      else go next dropped
+    end
   in
-  List.iter
-    (fun (key, node) ->
-      unlink t node;
-      Hashtbl.remove t.table key)
-    victims;
-  List.length victims
+  go t.lru.next 0

@@ -1,12 +1,10 @@
 (** A page cache with LRU eviction.
 
-    Keyed by (file id, page index). The static-content servers of the
+    Keyed by (file id, page index), packed into one int. The static-content servers of the
     paper live or die by this cache: the benchmark's single 6 KB
     document stays resident, which is why the simulated disk never
     shows up in the figures — but the filesystem substrate supports
     larger-than-cache working sets for the document-size experiments. *)
-
-type key = { file_id : int; page : int }
 
 type t
 
@@ -16,12 +14,13 @@ val create : capacity_pages:int -> t
 val capacity : t -> int
 val resident : t -> int
 
-val touch : t -> key -> [ `Hit | `Miss ]
+val touch : t -> file_id:int -> page:int -> [ `Hit | `Miss ]
 (** Looks the page up; on a miss it is brought in (evicting the least
     recently used page if full). Either way the page becomes most
-    recently used. *)
+    recently used. A hit allocates nothing. Raises [Invalid_argument]
+    on a negative id or a page index of 2{^32} or more. *)
 
-val contains : t -> key -> bool
+val contains : t -> file_id:int -> page:int -> bool
 (** Pure lookup without promotion; for tests. *)
 
 val hits : t -> int

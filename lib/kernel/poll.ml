@@ -1,7 +1,5 @@
 open Sio_sim
 
-type result = { fd : int; revents : Pollmask.t }
-
 (* Bits always reported regardless of subscription. *)
 let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
 
@@ -13,12 +11,12 @@ let scan_cost ~host ~n_interests =
 
 (* One pass over the interest list, asking each driver for status.
    The driver-callback cost is charged inside [Socket.driver_poll];
-   missing descriptors only cost the copy-in. Results accumulate into
-   the caller's reusable buffer (cleared here), so the rescan-per-wake
-   loop below allocates nothing per pass. *)
+   missing descriptors only cost the copy-in. Results go into the
+   caller's batch (cleared here), so the rescan-per-wake loop below
+   allocates nothing per pass. *)
 let[@complexity "O(interests)"] scan ~host ~lookup ~interests ~ready =
   let costs = host.Host.costs in
-  Ready_buffer.clear ready;
+  Ready_batch.clear ready;
   List.iter
     (fun (fd, events) ->
       ignore (Host.charge host costs.Cost_model.poll_copyin_per_fd);
@@ -28,72 +26,46 @@ let[@complexity "O(interests)"] scan ~host ~lookup ~interests ~ready =
         | Some sock ->
             Pollmask.inter (Socket.driver_poll sock) (Pollmask.union events forced)
       in
-      if not (Pollmask.is_empty revents) then Ready_buffer.push ready { fd; revents })
+      if not (Pollmask.is_empty revents) then Ready_batch.push ready fd revents)
     interests;
-  Ready_buffer.length ready
+  Ready_batch.length ready
+
+let copyout host batch =
+  ignore
+    (Host.charge host
+       (Time.mul host.Host.costs.Cost_model.poll_copyout_per_ready (Ready_batch.length batch)))
+
+(* Sleeping on every socket of the set, charged per interest. *)
+let sleep_on host sockets n w =
+  List.iter (fun s -> Socket.register_waiter s w) sockets;
+  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_register n))
+
+let wake_from host sockets n w =
+  List.iter (fun s -> ignore (Socket.unregister_waiter s w)) sockets;
+  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_unregister n))
 
 let[@complexity "O(interests)"] wait ~host ~lookup ~interests ~timeout ~k =
   let costs = host.Host.costs in
   let counters = host.Host.counters in
   counters.Host.syscalls <- counters.Host.syscalls + 1;
   ignore (Host.charge host costs.Cost_model.syscall_entry);
-  let ready = Ready_buffer.create ~initial_capacity:16 () in
-  let finish results =
-    ignore
-      (Host.charge host
-         (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-    Host.charge_run host ~cost:Time.zero (fun () -> k results)
-  in
-  let finish_ready () = finish (Ready_buffer.to_list ready) in
-  if scan ~host ~lookup ~interests ~ready > 0 then finish_ready ()
+  (* A one-shot call, with a slot of its own: the interest list is
+     passed in afresh every time. A sleep registers on every socket's
+     wait queue, and a wakeup rescans the whole set. *)
+  let sockets = List.filter_map (fun (fd, _) -> lookup fd) interests in
+  let n = List.length interests in
+  let slot = Wait_slot.create ~host in
+  Wait_slot.set_hooks slot
+    ~rescan:(fun ~cap:_ ready -> scan ~host ~lookup ~interests ~ready)
+    ~sleep:(fun w -> sleep_on host sockets n w)
+    ~unsleep:(fun w -> wake_from host sockets n w)
+    ~copyout:(copyout host) ();
+  let slot = Wait_slot.begin_call slot ~cap:max_int ~k in
+  if scan ~host ~lookup ~interests ~ready:(Wait_slot.batch slot) > 0 then Wait_slot.complete slot
   else
     match timeout with
-    | Some t when t <= Time.zero -> finish []
-    | _ ->
-        (* Sleep: register on every socket's wait queue. *)
-        let sockets = List.filter_map (fun (fd, _) -> lookup fd) interests in
-        let n = List.length interests in
-        ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-        let timer = ref None in
-        let waiter_ref = ref None in
-        let cleanup () =
-          (match !waiter_ref with
-          | Some w -> List.iter (fun s -> ignore (Socket.unregister_waiter s w)) sockets
-          | None -> ());
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-          match !timer with
-          | Some h ->
-              Engine.cancel host.Host.engine h;
-              timer := None
-          | None -> ()
-        in
-        let rec on_wake _mask =
-          cleanup ();
-          (* Wakeup rescans the whole set, as Linux 2.2 does. *)
-          if scan ~host ~lookup ~interests ~ready > 0 then finish_ready ()
-          else begin
-            (* Spurious wakeup (event consumed elsewhere): sleep again. *)
-            let w = { Socket.wake = on_wake } in
-            waiter_ref := Some w;
-            List.iter (fun s -> Socket.register_waiter s w) sockets;
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-            arm_timer ()
-          end
-        and arm_timer () =
-          match timeout with
-          | None -> ()
-          | Some t ->
-              timer :=
-                Some
-                  (Engine.after host.Host.engine t (fun () ->
-                       timer := None;
-                       cleanup ();
-                       finish []))
-        in
-        let w = { Socket.wake = on_wake } in
-        waiter_ref := Some w;
-        List.iter (fun s -> Socket.register_waiter s w) sockets;
-        arm_timer ()
+    | Some t when t <= Time.zero -> Wait_slot.complete slot
+    | _ -> Wait_slot.block slot ~timeout
 
 (* A persistent poll set: the interest list a server passes to poll()
    on every loop iteration, kept between calls so the host-side scan
@@ -118,19 +90,11 @@ module Pset = struct
            readiness. Everything outside it was last seen not-ready on
            a live, watcher-bound socket, so its probe charges exactly
            copy-in + driver callback and reports nothing. *)
-    ready : result Ready_buffer.t;
+    slot : Wait_slot.t; (* poll() results and the sleeping caller *)
+    mutable sockets : Socket.t list; (* slept on by the poll() in progress *)
+    mutable n_sockets : int;
     mutable next_order : int;
   }
-
-  let create ~host ~lookup () =
-    {
-      host;
-      lookup;
-      entries = Fd_map.create ~initial_capacity:64 ();
-      active = Fd_map.create ~initial_capacity:64 ();
-      ready = Ready_buffer.create ~initial_capacity:16 ();
-      next_order = 0;
-    }
 
   let unbind e =
     match e.bound with
@@ -186,10 +150,10 @@ module Pset = struct
      have live sockets, else they could not be idle-certified), active
      entries are probed individually in insertion order so results
      match [scan] byte for byte. *)
-  let[@complexity "O(active)"] scan_set s =
+  let[@complexity "O(active)"] scan_set s ready =
     let costs = s.host.Host.costs in
     let counters = s.host.Host.counters in
-    Ready_buffer.clear s.ready;
+    Ready_batch.clear ready;
     let idle = Fd_map.length s.entries - Fd_map.length s.active in
     if idle > 0 then begin
       ignore
@@ -205,9 +169,29 @@ module Pset = struct
     List.iter
       (fun e ->
         let revents = probe s e in
-        if not (Pollmask.is_empty revents) then Ready_buffer.push s.ready { fd = e.fd; revents })
+        if not (Pollmask.is_empty revents) then Ready_batch.push ready e.fd revents)
       acts;
-    Ready_buffer.length s.ready
+    Ready_batch.length ready
+
+  let create ~host ~lookup () =
+    let s =
+      {
+        host;
+        lookup;
+        entries = Fd_map.create ~initial_capacity:64 ();
+        active = Fd_map.create ~initial_capacity:64 ();
+        slot = Wait_slot.create ~host;
+        sockets = [];
+        n_sockets = 0;
+        next_order = 0;
+      }
+    in
+    Wait_slot.set_hooks s.slot
+      ~rescan:(fun ~cap:_ ready -> scan_set s ready)
+      ~sleep:(fun w -> sleep_on host s.sockets s.n_sockets w)
+      ~unsleep:(fun w -> wake_from host s.sockets s.n_sockets w)
+      ~copyout:(copyout host) ();
+    s
 
   (* poll() over the persistent set: charge-for-charge the same call
      sequence as [wait] — syscall entry, scan, sleep registration on
@@ -218,60 +202,15 @@ module Pset = struct
     let counters = host.Host.counters in
     counters.Host.syscalls <- counters.Host.syscalls + 1;
     ignore (Host.charge host costs.Cost_model.syscall_entry);
-    let finish results =
-      ignore
-        (Host.charge host
-           (Time.mul costs.Cost_model.poll_copyout_per_ready (List.length results)));
-      Host.charge_run host ~cost:Time.zero (fun () -> k results)
-    in
-    let finish_ready () = finish (Ready_buffer.to_list s.ready) in
-    if scan_set s > 0 then finish_ready ()
+    let slot = Wait_slot.begin_call s.slot ~cap:max_int ~k in
+    if scan_set s (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
     else
       match timeout with
-      | Some t when t <= Time.zero -> finish []
+      | Some t when t <= Time.zero -> Wait_slot.complete slot
       | _ ->
-          let sockets =
+          s.sockets <-
             Fd_map.fold s.entries ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc)
-          in
-          let n = Fd_map.length s.entries in
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-          let timer = ref None in
-          let waiter_ref = ref None in
-          let cleanup () =
-            (match !waiter_ref with
-            | Some w -> List.iter (fun sock -> ignore (Socket.unregister_waiter sock w)) sockets
-            | None -> ());
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-            match !timer with
-            | Some h ->
-                Engine.cancel host.Host.engine h;
-                timer := None
-            | None -> ()
-          in
-          let rec on_wake _mask =
-            cleanup ();
-            if scan_set s > 0 then finish_ready ()
-            else begin
-              let w = { Socket.wake = on_wake } in
-              waiter_ref := Some w;
-              List.iter (fun sock -> Socket.register_waiter sock w) sockets;
-              ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-              arm_timer ()
-            end
-          and arm_timer () =
-            match timeout with
-            | None -> ()
-            | Some t ->
-                timer :=
-                  Some
-                    (Engine.after host.Host.engine t (fun () ->
-                         timer := None;
-                         cleanup ();
-                         finish []))
-          in
-          let w = { Socket.wake = on_wake } in
-          waiter_ref := Some w;
-          List.iter (fun sock -> Socket.register_waiter sock w) sockets;
-          arm_timer ()
+                match s.lookup fd with Some sock -> sock :: acc | None -> acc);
+          s.n_sockets <- Fd_map.length s.entries;
+          Wait_slot.block slot ~timeout
 end

@@ -9,21 +9,19 @@
 
 open Sio_sim
 
-type result = { fd : int; revents : Pollmask.t }
-
 val wait :
   host:Host.t ->
   lookup:(int -> Socket.t option) ->
   interests:(int * Pollmask.t) list ->
   timeout:Time.t option ->
-  k:(result list -> unit) ->
+  k:(Ready_batch.t -> unit) ->
   unit
 (** [wait ~host ~lookup ~interests ~timeout ~k] performs one poll()
     call. [lookup] resolves an fd to its socket ([None] yields
     POLLNVAL in the results, like a closed descriptor). [timeout]:
     [Some 0] never sleeps; [None] sleeps forever. [k] receives the
-    descriptors with non-empty [revents], in interest order, at the
-    simulated time the syscall returns. Error and hangup conditions
+    descriptors with non-empty [revents] (the batch's masks), in
+    interest order, at the simulated time the syscall returns. Error and hangup conditions
     are always reported, whether or not subscribed, per POSIX. *)
 
 val scan_cost : host:Host.t -> n_interests:int -> Time.t
@@ -57,10 +55,13 @@ module Pset : sig
   (** Non-idle-certified fds, ascending; test hook for the churn
       equivalence property. *)
 
-  val scan_set : pset -> int
-  (** One charged scan pass (exposed for cost-equivalence tests). *)
+  val scan_set : pset -> Ready_batch.t -> int
+  (** One charged scan pass into the given batch, returning the ready
+      count (exposed for cost-equivalence tests). *)
 
   val wait_set :
-    pset -> timeout:Time.t option -> k:(result list -> unit) -> unit
-  (** One poll() call over the set; contract as {!wait}. *)
+    pset -> timeout:Time.t option -> k:(Ready_batch.t -> unit) -> unit
+  (** One poll() call over the set; contract as {!wait}. The batch is
+      the set's own, valid until its next [wait_set] (see
+      {!Wait_slot}). *)
 end

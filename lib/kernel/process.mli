@@ -15,17 +15,26 @@ val create :
 
 val name : t -> string
 val host : t -> Host.t
+
 val fds : t -> resource Fd_table.t
+(** The descriptor table, for reads; descriptors are opened with
+    {!install_socket} (or {!Fd_table.alloc} for a /dev/poll) and closed
+    with {!close_fd}. *)
+
 val rt_queue : t -> Rt_signal.queue
 
 val lookup_socket : t -> int -> Socket.t option
 (** Resolves an fd to a socket, [None] for closed descriptors and for
-    /dev/poll descriptors. *)
+    /dev/poll descriptors. Allocates nothing: the option is stored at
+    {!install_socket}. *)
 
 val lookup_devpoll : t -> int -> Devpoll.t option
 
 val install_socket : t -> Socket.t -> (int, [ `Emfile ]) result
 (** Allocates a descriptor for the socket (used by accept and by the
     listener setup). *)
+
+val close_fd : t -> int -> resource option
+(** Releases a descriptor, returning what it named. *)
 
 val open_fd_count : t -> int

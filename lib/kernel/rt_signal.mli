@@ -54,10 +54,15 @@ val sigwaitinfo : queue -> k:(delivery -> unit) -> unit
     Charges one syscall plus one dequeue. *)
 
 val sigtimedwait4 :
-  queue -> max:int -> timeout:Time.t option -> k:(delivery list -> unit) -> unit
+  queue -> max:int -> timeout:Time.t option -> k:(Ready_batch.t -> unit) -> unit
 (** The paper's proposed batching syscall: dequeue up to [max]
     deliveries in one syscall. Blocks like {!sigwaitinfo} when the
-    queue is empty; [Some 0] timeout polls. *)
+    queue is empty; [Some 0] timeout polls. The batch holds one
+    (fd, band) entry per RT signal in delivery order; a SIGIO ahead
+    of them sets {!Ready_batch.overflowed} and takes one of the [max]
+    places. The batch is the queue's own, valid until the next
+    sigtimedwait4 (a caller whose return overlaps a pending one gets
+    a batch of its own). *)
 
 val flush : queue -> int
 (** Set the handler to SIG_DFL and back: discards everything queued

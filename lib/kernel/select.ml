@@ -141,17 +141,9 @@ module Sset = struct
            result bit. Everything outside it was last seen reporting
            nothing on a live, watcher-bound socket, so its probe is
            exactly one driver callback with no bits set. *)
+    slot : Wait_slot.t; (* select() results and the sleeping caller *)
+    mutable sockets : Socket.t list; (* slept on by the select() in progress *)
   }
-
-  let create ~host ~lookup () =
-    {
-      host;
-      lookup;
-      read = Fd_set.create ();
-      write = Fd_set.create ();
-      members = Fd_map.create ~initial_capacity:64 ();
-      active = Fd_map.create ~initial_capacity:64 ();
-    }
 
   let unbind m =
     match m.bound with
@@ -265,6 +257,64 @@ module Sset = struct
             if not !any then ignore (Fd_map.remove s.active fd)));
     ({ readable = r; writable = w; except = e }, !ready)
 
+  (* The result bitmaps as one event per descriptor, in the order
+     thttpd's select loop hands them to its handlers: readable fds
+     descending, then writable, then exceptional, each a POLLIN,
+     POLLOUT or POLLERR event — except that the lowest readable fd, when
+     it is also the first fd of the next non-empty group, is one
+     merged event there. Built ascending and reversed in place. *)
+  let fill batch ~read ~write ~except =
+    Ready_batch.clear batch;
+    Fd_set.iter except (fun fd -> Ready_batch.push batch fd Pollmask.pollerr);
+    Fd_set.iter write (fun fd -> Ready_batch.push batch fd Pollmask.pollout);
+    Fd_set.iter read (fun fd ->
+        let last = Ready_batch.length batch - 1 in
+        if last >= 0 && Ready_batch.fd batch last = fd then
+          Ready_batch.set_mask batch last
+            (Pollmask.union (Ready_batch.mask batch last) Pollmask.pollin)
+        else Ready_batch.push batch fd Pollmask.pollin);
+    Ready_batch.reverse batch
+
+  let rescan s ~cap:_ batch =
+    let r, ready = scan_sset s in
+    fill batch ~read:r.readable ~write:r.writable ~except:r.except;
+    ready
+
+  let sleep_on s w =
+    List.iter (fun sock -> Socket.register_waiter sock w) s.sockets;
+    ignore
+      (Host.charge s.host
+         (Time.mul s.host.Host.costs.Cost_model.wait_queue_register (List.length s.sockets)))
+
+  let wake_from s w =
+    List.iter (fun sock -> ignore (Socket.unregister_waiter sock w)) s.sockets;
+    ignore
+      (Host.charge s.host
+         (Time.mul s.host.Host.costs.Cost_model.wait_queue_unregister (List.length s.sockets)))
+
+  let create ~host ~lookup () =
+    let s =
+      {
+        host;
+        lookup;
+        read = Fd_set.create ();
+        write = Fd_set.create ();
+        members = Fd_map.create ~initial_capacity:64 ();
+        active = Fd_map.create ~initial_capacity:64 ();
+        slot = Wait_slot.create ~host;
+        sockets = [];
+      }
+    in
+    (* select() reports what a final scan finds when the timeout
+       expires, rather than nothing. *)
+    Wait_slot.set_hooks s.slot
+      ~rescan:(fun ~cap batch -> rescan s ~cap batch)
+      ~sleep:(fun w -> sleep_on s w)
+      ~unsleep:(fun w -> wake_from s w)
+      ~expire:(fun ~cap batch -> ignore (rescan s ~cap batch))
+      ~copyout:ignore ();
+    s
+
   (* select() over the persistent set: charge-for-charge the same call
      sequence as [select], including the rescan at timeout expiry. *)
   let[@complexity "O(interests)"] wait_sset s ~timeout ~k =
@@ -273,58 +323,17 @@ module Sset = struct
     let counters = host.Host.counters in
     counters.Host.syscalls <- counters.Host.syscalls + 1;
     ignore (Host.charge host costs.Cost_model.syscall_entry);
-    let finish result = Host.charge_run host ~cost:Time.zero (fun () -> k result) in
+    let slot = Wait_slot.begin_call s.slot ~cap:max_int ~k in
     let first, ready = scan_sset s in
-    if ready > 0 then finish first
+    fill (Wait_slot.batch slot) ~read:first.readable ~write:first.writable
+      ~except:first.except;
+    if ready > 0 then Wait_slot.complete slot
     else
       match timeout with
-      | Some t when t <= Time.zero -> finish first
+      | Some t when t <= Time.zero -> Wait_slot.complete slot
       | _ ->
-          let sockets =
+          s.sockets <-
             Fd_map.fold s.members ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc)
-          in
-          let n = List.length sockets in
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-          let timer = ref None in
-          let waiter_ref = ref None in
-          let cleanup () =
-            (match !waiter_ref with
-            | Some wtr ->
-                List.iter (fun sock -> ignore (Socket.unregister_waiter sock wtr)) sockets
-            | None -> ());
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-            match !timer with
-            | Some h ->
-                Engine.cancel host.Host.engine h;
-                timer := None
-            | None -> ()
-          in
-          let rec on_wake _mask =
-            cleanup ();
-            let result, ready = scan_sset s in
-            if ready > 0 then finish result
-            else begin
-              let wtr = { Socket.wake = on_wake } in
-              waiter_ref := Some wtr;
-              List.iter (fun sock -> Socket.register_waiter sock wtr) sockets;
-              ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-              arm_timer ()
-            end
-          and arm_timer () =
-            match timeout with
-            | None -> ()
-            | Some t ->
-                timer :=
-                  Some
-                    (Engine.after host.Host.engine t (fun () ->
-                         timer := None;
-                         cleanup ();
-                         let result, _ = scan_sset s in
-                         finish result))
-          in
-          let wtr = { Socket.wake = on_wake } in
-          waiter_ref := Some wtr;
-          List.iter (fun sock -> Socket.register_waiter sock wtr) sockets;
-          arm_timer ()
+                match s.lookup fd with Some sock -> sock :: acc | None -> acc);
+          Wait_slot.block slot ~timeout
 end

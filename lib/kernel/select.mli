@@ -60,6 +60,12 @@ module Sset : sig
   val scan_sset : sset -> result * int
   (** One charged scan pass (exposed for cost-equivalence tests). *)
 
-  val wait_sset : sset -> timeout:Time.t option -> k:(result -> unit) -> unit
-  (** One select() call over the set; contract as {!select}. *)
+  val wait_sset : sset -> timeout:Time.t option -> k:(Ready_batch.t -> unit) -> unit
+  (** One select() call over the set; charges as {!select}. The result
+      bitmaps arrive as one event per descriptor (POLLIN, POLLOUT or
+      POLLERR, a readable descriptor merged into its neighbour's
+      event when they coincide) in the order thttpd's select loop
+      visits them: readable descending, then writable, then
+      exceptional. The batch is the set's own, valid until its next
+      [wait_sset] (see {!Wait_slot}). *)
 end

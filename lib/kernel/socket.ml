@@ -111,6 +111,13 @@ module Regs = struct
     for i = len - 1 downto 0 do
       match entries.(i).fn with Some g -> f g | None -> ()
     done
+
+  (* [iter_rev t (fun g -> g x)] without the closure. *)
+  let iter_rev_apply t x =
+    let entries = t.entries and len = t.len in
+    for i = len - 1 downto 0 do
+      match entries.(i).fn with Some g -> g x | None -> ()
+    done
 end
 
 type cold_rec = {
@@ -118,7 +125,7 @@ type cold_rec = {
   waitq : waiter Wait_queue.t;
   observers : (Pollmask.t -> unit) Regs.t;
   watchers : (unit -> unit) Regs.t;
-  mutable payload : Buffer.t option;
+  mutable payload : string; (* delivered, unread text; usually one segment *)
   mutable on_send : int -> unit;
   mutable on_close : unit -> unit;
   mutable ring : Zc_ring.t option;
@@ -129,25 +136,26 @@ type cold_rec = {
      and a socket is only ever watched by its process's one backend
      plus at most an RT-signal binding (hybrid's polling mode), so
      three slots never fill. Key 0 = slot empty. Dropped wholesale
-     when the arena slot frees. *)
+     when the arena slot frees. Each slot holds the option [attachment]
+     returns, boxed once at [attach] rather than per lookup. *)
   mutable a0_key : int;
-  mutable a0 : Conn_arena.cold;
+  mutable a0 : Conn_arena.cold option;
   mutable a1_key : int;
-  mutable a1 : Conn_arena.cold;
+  mutable a1 : Conn_arena.cold option;
   mutable a2_key : int;
-  mutable a2 : Conn_arena.cold;
+  mutable a2 : Conn_arena.cold option;
+  self : cold_rec option; (* [Some] of this record, for [cold_opt] *)
 }
-
-type Conn_arena.cold += No_attachment
 
 type Conn_arena.cold += Sock_cold of cold_rec
 
 let arena t = t.host.Host.arena
 let live t = Conn_arena.is_live (arena t) ~slot:t.slot ~gen:t.gen
 
+(* Allocation-free: the record carries its own [Some]. *)
 let cold_opt t =
   match (arena t).Conn_arena.cold.(t.slot) with
-  | Some (Sock_cold c) -> Some c
+  | Some (Sock_cold c) -> c.self
   | _ -> None
 
 (* Only called on live handles. *)
@@ -155,22 +163,23 @@ let cold t =
   match (arena t).Conn_arena.cold.(t.slot) with
   | Some (Sock_cold c) -> c
   | _ ->
-      let c =
+      let rec c =
         {
           accept_q = Queue.create ();
           waitq = Wait_queue.create ();
           observers = Regs.create ();
           watchers = Regs.create ();
-          payload = None;
+          payload = "";
           on_send = (fun _ -> ());
           on_close = (fun () -> ());
           ring = None;
           a0_key = 0;
-          a0 = No_attachment;
+          a0 = None;
           a1_key = 0;
-          a1 = No_attachment;
+          a1 = None;
           a2_key = 0;
-          a2 = No_attachment;
+          a2 = None;
+          self = Some c;
         }
       in
       (arena t).Conn_arena.cold.(t.slot) <- Some (Sock_cold c);
@@ -313,17 +322,16 @@ let post t mask =
       let costs = t.host.Host.costs in
       let counters = t.host.Host.counters in
       Regs.iter_rev c.watchers (fun f -> f ());
-      let woken =
-        Wait_queue.wake c.waitq ~policy:t.host.Host.wake_policy (fun w ->
-            counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-            ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
-            w.wake mask)
-      in
-      ignore woken;
+      if not (Wait_queue.is_empty c.waitq) then
+        ignore
+          (Wait_queue.wake c.waitq ~policy:t.host.Host.wake_policy (fun w ->
+               counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
+               ignore (Host.charge t.host costs.Cost_model.wait_queue_wake);
+               w.wake mask));
       if Regs.count c.observers > 0 then begin
         if hints_supported t then
           ignore (Host.charge t.host costs.Cost_model.backmap_read_lock);
-        Regs.iter_rev c.observers (fun f -> f mask)
+        Regs.iter_rev_apply c.observers mask
       end
 
 let deliver t ~bytes_len ~payload =
@@ -343,16 +351,10 @@ let deliver t ~bytes_len ~payload =
         let accepted = Stdlib.min bytes_len (a.Conn_arena.rcv_cap.{slot} - level) in
         a.Conn_arena.rcv_level.{slot} <- level + accepted;
         if String.length payload > 0 then begin
+          (* Kept as delivered: the reader gets the sender's string
+             itself unless segments arrived back to back. *)
           let c = cold t in
-          let buf =
-            match c.payload with
-            | Some b -> b
-            | None ->
-                let b = Buffer.create 64 in
-                c.payload <- Some b;
-                b
-          in
-          Buffer.add_string buf payload
+          c.payload <- (if String.length c.payload = 0 then payload else c.payload ^ payload)
         end;
         if accepted > 0 && was_empty then post t Pollmask.pollin;
         accepted
@@ -444,11 +446,11 @@ let read_all t =
     a.Conn_arena.rcv_level.{t.slot} <- 0;
     let text =
       match cold_opt t with
-      | Some { payload = Some b; _ } ->
-          let s = Buffer.contents b in
-          Buffer.clear b;
+      | Some c ->
+          let s = c.payload in
+          c.payload <- "";
           s
-      | Some _ | None -> ""
+      | None -> ""
     in
     (bytes, text)
   end
@@ -588,15 +590,15 @@ let attach t ~key v =
     let c = cold t in
     if c.a0_key = key || c.a0_key = 0 then begin
       c.a0_key <- key;
-      c.a0 <- v
+      c.a0 <- Some v
     end
     else if c.a1_key = key || c.a1_key = 0 then begin
       c.a1_key <- key;
-      c.a1 <- v
+      c.a1 <- Some v
     end
     else if c.a2_key = key || c.a2_key = 0 then begin
       c.a2_key <- key;
-      c.a2 <- v
+      c.a2 <- Some v
     end
     else invalid_arg "Socket.attach: attachment slots exhausted"
   end
@@ -604,9 +606,9 @@ let attach t ~key v =
 let attachment t ~key =
   match if live t then cold_opt t else None with
   | Some c ->
-      if c.a0_key = key then Some c.a0
-      else if c.a1_key = key then Some c.a1
-      else if c.a2_key = key then Some c.a2
+      if c.a0_key = key then c.a0
+      else if c.a1_key = key then c.a1
+      else if c.a2_key = key then c.a2
       else None
   | None -> None
 
@@ -616,15 +618,15 @@ let detach t ~key =
     | Some c ->
         if c.a0_key = key then begin
           c.a0_key <- 0;
-          c.a0 <- No_attachment
+          c.a0 <- None
         end
         else if c.a1_key = key then begin
           c.a1_key <- 0;
-          c.a1 <- No_attachment
+          c.a1 <- None
         end
         else if c.a2_key = key then begin
           c.a2_key <- 0;
-          c.a2 <- No_attachment
+          c.a2 <- None
         end
     | None -> ()
 
@@ -661,7 +663,7 @@ let close t =
         let on_close =
           match cold_opt t with
           | Some c ->
-              (match c.payload with Some b -> Buffer.clear b | None -> ());
+              c.payload <- "";
               Queue.clear c.accept_q;
               c.on_close
           | None -> fun () -> ()

@@ -27,7 +27,7 @@ let serialization_time t ~bytes_len =
   let bits = bytes_len * 8 in
   Time.ns (int_of_float (float_of_int bits *. 1e9 /. float_of_int t.bandwidth))
 
-let transmit t ?(extra_latency = Time.zero) ~bytes_len k =
+let transmit t ~extra_latency ~bytes_len k =
   if bytes_len < 0 then invalid_arg "Link.transmit: negative length";
   let now = Engine.now t.engine in
   let wire = serialization_time t ~bytes_len in

@@ -16,11 +16,11 @@ val create :
 (** Raises [Invalid_argument] if bandwidth is not positive or latency
     is negative. *)
 
-val transmit : t -> ?extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
-(** [transmit t ~bytes_len k] queues a [bytes_len]-byte message. [k]
-    runs at the instant the last byte arrives at the far end:
-    departure (after queueing + serialization) + latency +
-    [extra_latency] (default 0; used for per-client modem delays). *)
+val transmit : t -> extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
+(** [transmit t ~extra_latency ~bytes_len k] queues a [bytes_len]-byte
+    message. [k] runs at the instant the last byte arrives at the far
+    end: departure (after queueing + serialization) + latency +
+    [extra_latency] (per-client modem delays; [Time.zero] for none). *)
 
 val serialization_time : t -> bytes_len:int -> Time.t
 (** Wire time of a message at this link's bandwidth, without queueing. *)

@@ -18,8 +18,8 @@ val create :
 val client_to_server : t -> Link.t
 val server_to_client : t -> Link.t
 
-val send_to_server : t -> ?extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
-val send_to_client : t -> ?extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
+val send_to_server : t -> extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
+val send_to_client : t -> extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit
 
 val rtt : t -> Time.t
 (** Round-trip propagation latency, excluding serialization. *)

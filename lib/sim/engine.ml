@@ -21,26 +21,28 @@ let after e d f = at e (Time.add e.clock (Stdlib.max 0 d)) f
 
 let cancel e h = Event_queue.cancel e.queue h
 
-let step e =
-  match Event_queue.next_time e.queue with
-  | None -> false
-  | Some t -> (
-      e.clock <- Stdlib.max e.clock t;
-      match Event_queue.pop_due e.queue ~now:e.clock with
-      | None -> false
-      | Some action ->
-          e.executed <- e.executed + 1;
-          action ();
-          true)
+(* Fire the earliest event, already peeked at time [t]. *)
+let fire e t =
+  e.clock <- Stdlib.max e.clock t;
+  let action = Event_queue.pop e.queue in
+  e.executed <- e.executed + 1;
+  action ()
 
+let step e =
+  let t = Event_queue.peek_time e.queue in
+  if t = Event_queue.no_event then false
+  else begin
+    fire e t;
+    true
+  end
+
+(* Each event is peeked once: no option or closure per event. *)
 let run ?until e =
-  let continue () =
-    match Event_queue.next_time e.queue with
-    | None -> false
-    | Some t -> ( match until with None -> true | Some horizon -> t <= horizon)
-  in
-  while continue () do
-    ignore (step e)
+  let horizon = match until with Some h -> h | None -> max_int in
+  let t = ref (Event_queue.peek_time e.queue) in
+  while !t <> Event_queue.no_event && !t <= horizon do
+    fire e !t;
+    t := Event_queue.peek_time e.queue
   done;
   (* With a horizon, the clock advances to it even if the last event
      fired earlier: "run until t" leaves the simulation at t. *)

@@ -46,3 +46,7 @@ let mk_rig ?(costs = Cost_model.zero) ?(fd_limit = 1024) ?(backlog = 128) () =
 let ok = function
   | Ok v -> v
   | Error _ -> Alcotest.fail "expected Ok"
+
+(* Wait continuations receive the instance's reusable batch, valid
+   until the next wait: tests snapshot it as (fd, mask) pairs. *)
+let pairs k batch = k (Ready_batch.to_list batch)

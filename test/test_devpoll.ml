@@ -24,7 +24,6 @@ let add env fd =
   Hashtbl.replace env.sockets fd s;
   s
 
-let as_pairs rs = List.map (fun r -> (r.Poll.fd, r.Poll.revents)) rs
 let results_testable = Alcotest.(list (pair int Helpers.mask))
 
 let test_write_builds_interest_set () =
@@ -42,10 +41,11 @@ let test_poll_returns_ready () =
   Devpoll.write env.dev [ (4, Pollmask.pollin) ];
   ignore (Socket.deliver s ~bytes_len:10 ~payload:"");
   let got = ref None in
-  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None ~k:(fun rs -> got := Some rs);
+  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None
+    ~k:(Helpers.pairs (fun rs -> got := Some rs));
   Engine.run env.engine;
   match !got with
-  | Some rs -> Alcotest.check results_testable "ready" [ (4, Pollmask.pollin) ] (as_pairs rs)
+  | Some rs -> Alcotest.check results_testable "ready" [ (4, Pollmask.pollin) ] rs
   | None -> Alcotest.fail "dp_poll never returned"
 
 let test_blocks_until_hint () =
@@ -53,8 +53,8 @@ let test_blocks_until_hint () =
   let s = add env 1 in
   Devpoll.write env.dev [ (1, Pollmask.pollin) ];
   let got_at = ref None in
-  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None ~k:(fun rs ->
-      got_at := Some (Engine.now env.engine, as_pairs rs));
+  Devpoll.dp_poll env.dev ~max_results:16 ~timeout:None ~k:(Helpers.pairs (fun rs ->
+      got_at := Some (Engine.now env.engine, rs)));
   ignore
     (Engine.at env.engine (Time.ms 25) (fun () ->
          ignore (Socket.deliver s ~bytes_len:5 ~payload:"")));
@@ -73,7 +73,7 @@ let test_max_results_caps () =
   done;
   Devpoll.write env.dev (List.init 10 (fun fd -> (fd, Pollmask.pollin)));
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:3 ~timeout:None ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:3 ~timeout:None ~k:(Helpers.pairs (fun rs -> got := rs));
   Engine.run env.engine;
   Alcotest.(check int) "capped at 3" 3 (List.length !got)
 
@@ -82,8 +82,8 @@ let test_timeout () =
   ignore (add env 1);
   Devpoll.write env.dev [ (1, Pollmask.pollin) ];
   let got_at = ref None in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some (Time.ms 10)) ~k:(fun rs ->
-      got_at := Some (Engine.now env.engine, rs));
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some (Time.ms 10)) ~k:(Helpers.pairs (fun rs ->
+      got_at := Some (Engine.now env.engine, rs)));
   Engine.run env.engine;
   match !got_at with
   | Some (t, []) -> Alcotest.(check int) "timed out" (Time.ms 10) t
@@ -96,8 +96,8 @@ let test_missing_fd_reports_nval () =
   Devpoll.write env.dev [ (1, Pollmask.pollin) ];
   Hashtbl.remove env.sockets 1;
   let got = ref None in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs ->
-      got := Some (as_pairs rs));
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(Helpers.pairs (fun rs ->
+      got := Some rs));
   Engine.run env.engine;
   Alcotest.(check bool) "NVAL" true (!got = Some [ (1, Pollmask.pollnval) ])
 
@@ -132,10 +132,11 @@ let test_hint_triggers_revalidation () =
   let base = env.host.Host.counters.Host.driver_polls in
   ignore (Socket.deliver s ~bytes_len:4 ~payload:"");
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun rs -> got := rs));
   Engine.run env.engine;
   Alcotest.check results_testable "hinted fd found ready" [ (7, Pollmask.pollin) ]
-    (as_pairs !got);
+    !got;
   (* Only fd 7 had a hint: exactly one driver callback. *)
   Alcotest.(check int) "one driver call" (base + 1)
     env.host.Host.counters.Host.driver_polls
@@ -151,8 +152,9 @@ let test_ready_cache_always_revalidated () =
   (* Drain the socket without posting any hint-visible edge; a stale
      "ready" cache must not be trusted. *)
   let _ = Socket.read_all s in
-  let got = ref [ { Poll.fd = -1; revents = Pollmask.empty } ] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  let got = ref [ (-1, Pollmask.empty) ] in
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun rs -> got := rs));
   Engine.run env.engine;
   Alcotest.(check int) "no longer ready" 0 (List.length !got);
   Alcotest.(check int) "revalidation consulted driver" (base + 1)
@@ -181,10 +183,11 @@ let test_fd_reuse_rebinds_backmap () =
   let s2 = add env 5 in
   ignore (Socket.deliver s2 ~bytes_len:9 ~payload:"");
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun rs -> got := rs));
   Engine.run env.engine;
   Alcotest.check results_testable "interest applies to new socket"
-    [ (5, Pollmask.pollin) ] (as_pairs !got);
+    [ (5, Pollmask.pollin) ] !got;
   (* And hints flow from the new socket now. *)
   Alcotest.(check int) "old socket observer dropped" 0 (Socket.observer_count s1);
   Alcotest.(check bool) "new socket observed" true (Socket.observer_count s2 > 0)
@@ -216,7 +219,7 @@ let test_result_map_slots_cap_results () =
   Devpoll.write env.dev (List.init 10 (fun fd -> (fd, Pollmask.pollin)));
   Devpoll.alloc_result_map env.dev ~slots:4;
   let got = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:100 ~timeout:None ~k:(fun rs -> got := rs);
+  Devpoll.dp_poll env.dev ~max_results:100 ~timeout:None ~k:(Helpers.pairs (fun rs -> got := rs));
   Engine.run env.engine;
   Alcotest.(check int) "capped by mapping size" 4 (List.length !got)
 
@@ -254,8 +257,10 @@ let test_independent_interest_sets () =
   Devpoll.write dev2 [ (2, Pollmask.pollin) ];
   ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
   let got1 = ref [] and got2 = ref [] in
-  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got1 := rs);
-  Devpoll.dp_poll dev2 ~max_results:4 ~timeout:(Some Time.zero) ~k:(fun rs -> got2 := rs);
+  Devpoll.dp_poll env.dev ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun rs -> got1 := rs));
+  Devpoll.dp_poll dev2 ~max_results:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun rs -> got2 := rs));
   Engine.run env.engine;
   Alcotest.(check int) "set 1 sees its event" 1 (List.length !got1);
   Alcotest.(check int) "set 2 sees nothing" 0 (List.length !got2)
@@ -280,11 +285,12 @@ let prop_devpoll_agrees_with_poll =
       let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
       Devpoll.write env.dev interests;
       let dp = ref [] and pl = ref [] in
-      Devpoll.dp_poll env.dev ~max_results:n ~timeout:(Some Time.zero) ~k:(fun rs -> dp := rs);
+      Devpoll.dp_poll env.dev ~max_results:n ~timeout:(Some Time.zero)
+        ~k:(Helpers.pairs (fun rs -> dp := rs));
       Poll.wait ~host:env.host ~lookup:(Hashtbl.find_opt env.sockets) ~interests
-        ~timeout:(Some Time.zero) ~k:(fun rs -> pl := rs);
+        ~timeout:(Some Time.zero) ~k:(Helpers.pairs (fun rs -> pl := rs));
       Engine.run env.engine;
-      let norm rs = List.sort compare (as_pairs rs) in
+      let norm rs = List.sort compare rs in
       norm !dp = norm !pl)
 
 let suite =

@@ -1,16 +1,26 @@
 open Sio_sim
 
+(* Option-returning views over the sentinel API, for readable checks. *)
+let next_time q =
+  let t = Event_queue.peek_time q in
+  if t = Event_queue.no_event then None else Some t
+
+let pop_due q ~now =
+  match next_time q with
+  | Some t when t <= now -> Some (Event_queue.pop q)
+  | Some _ | None -> None
+
 let test_schedule_pop_due () =
   let q = Event_queue.create () in
   let fired = ref [] in
   ignore (Event_queue.schedule q ~at:(Time.ms 5) (fun () -> fired := 5 :: !fired));
   ignore (Event_queue.schedule q ~at:(Time.ms 2) (fun () -> fired := 2 :: !fired));
-  Alcotest.(check (option int)) "next_time" (Some (Time.ms 2)) (Event_queue.next_time q);
-  (match Event_queue.pop_due q ~now:(Time.ms 3) with
+  Alcotest.(check (option int)) "next_time" (Some (Time.ms 2)) (next_time q);
+  (match pop_due q ~now:(Time.ms 3) with
   | Some action -> action ()
   | None -> Alcotest.fail "expected due event");
   Alcotest.(check (list int)) "earliest popped" [ 2 ] !fired;
-  Alcotest.(check bool) "later not due" true (Event_queue.pop_due q ~now:(Time.ms 3) = None)
+  Alcotest.(check bool) "later not due" true (pop_due q ~now:(Time.ms 3) = None)
 
 let test_negative_time_rejected () =
   let q = Event_queue.create () in
@@ -31,7 +41,7 @@ let test_cancel_semantics () =
   Alcotest.(check int) "still one" 1 (Event_queue.length q);
   (* Cancelled head is skipped transparently. *)
   Alcotest.(check (option int)) "next skips cancelled" (Some (Time.ms 2))
-    (Event_queue.next_time q)
+    (next_time q)
 
 let prop_fifo_among_equal_times =
   QCheck.Test.make ~name:"events at one instant pop in schedule order" ~count:100
@@ -43,7 +53,7 @@ let prop_fifo_among_equal_times =
         ignore (Event_queue.schedule q ~at:(Time.ms 1) (fun () -> fired := i :: !fired))
       done;
       let rec drain () =
-        match Event_queue.pop_due q ~now:(Time.ms 1) with
+        match pop_due q ~now:(Time.ms 1) with
         | Some action ->
             action ();
             drain ()
@@ -67,7 +77,7 @@ let prop_cancel_never_fires =
       in
       List.iter (fun (h, cancel) -> if cancel then Event_queue.cancel q h) handles;
       let rec drain () =
-        match Event_queue.pop_due q ~now:1000 with
+        match pop_due q ~now:1000 with
         | Some action ->
             action ();
             drain ()
@@ -86,7 +96,7 @@ let test_fired_event_not_pending () =
   let q = Event_queue.create () in
   let h = Event_queue.schedule q ~at:(Time.ms 1) (fun () -> ()) in
   Alcotest.(check bool) "pending before firing" true (Event_queue.is_pending q h);
-  (match Event_queue.pop_due q ~now:(Time.ms 1) with
+  (match pop_due q ~now:(Time.ms 1) with
   | Some action -> action ()
   | None -> Alcotest.fail "expected due event");
   Alcotest.(check bool) "not pending after firing" false (Event_queue.is_pending q h);
@@ -99,7 +109,7 @@ let test_fired_event_not_pending () =
 let test_stale_handle_cannot_touch_reused_slot () =
   let q = Event_queue.create ~initial_capacity:1 () in
   let h1 = Event_queue.schedule q ~at:(Time.ms 1) (fun () -> ()) in
-  (match Event_queue.pop_due q ~now:(Time.ms 1) with
+  (match pop_due q ~now:(Time.ms 1) with
   | Some action -> action ()
   | None -> Alcotest.fail "expected due event");
   let fired = ref false in
@@ -109,7 +119,7 @@ let test_stale_handle_cannot_touch_reused_slot () =
   Alcotest.(check bool) "h2 still pending" true (Event_queue.is_pending q h2);
   Alcotest.(check bool) "h1 stale" false (Event_queue.is_pending q h1);
   Alcotest.(check int) "one live" 1 (Event_queue.length q);
-  (match Event_queue.pop_due q ~now:(Time.ms 2) with
+  (match pop_due q ~now:(Time.ms 2) with
   | Some action -> action ()
   | None -> Alcotest.fail "h2 must still fire");
   Alcotest.(check bool) "h2 fired" true !fired
@@ -168,7 +178,7 @@ let prop_matches_reference_model =
                       | _ -> Some e)
                   None !model
               in
-              match (Event_queue.pop_due q ~now:!now, expected) with
+              match (pop_due q ~now:!now, expected) with
               | None, None -> ()
               | Some action, Some e ->
                   action ();

@@ -3,41 +3,43 @@ open Sio_kernel
 
 (* --- Page_cache --- *)
 
-let key file_id page = { Page_cache.file_id; page }
+let key file_id page = (file_id, page)
+let touch c (file_id, page) = Page_cache.touch c ~file_id ~page
+let contains c (file_id, page) = Page_cache.contains c ~file_id ~page
 
 let test_cache_hit_miss () =
   let c = Page_cache.create ~capacity_pages:4 in
-  Alcotest.(check bool) "first is miss" true (Page_cache.touch c (key 1 0) = `Miss);
-  Alcotest.(check bool) "second is hit" true (Page_cache.touch c (key 1 0) = `Hit);
+  Alcotest.(check bool) "first is miss" true (touch c (key 1 0) = `Miss);
+  Alcotest.(check bool) "second is hit" true (touch c (key 1 0) = `Hit);
   Alcotest.(check int) "hits" 1 (Page_cache.hits c);
   Alcotest.(check int) "misses" 1 (Page_cache.misses c);
   Alcotest.(check int) "resident" 1 (Page_cache.resident c)
 
 let test_lru_eviction () =
   let c = Page_cache.create ~capacity_pages:2 in
-  ignore (Page_cache.touch c (key 1 0));
-  ignore (Page_cache.touch c (key 1 1));
-  ignore (Page_cache.touch c (key 1 0)) (* 0 now MRU, 1 is LRU *);
-  ignore (Page_cache.touch c (key 1 2)) (* evicts page 1 *);
-  Alcotest.(check bool) "page 0 kept" true (Page_cache.contains c (key 1 0));
-  Alcotest.(check bool) "page 1 evicted" false (Page_cache.contains c (key 1 1));
-  Alcotest.(check bool) "page 2 resident" true (Page_cache.contains c (key 1 2))
+  ignore (touch c (key 1 0));
+  ignore (touch c (key 1 1));
+  ignore (touch c (key 1 0)) (* 0 now MRU, 1 is LRU *);
+  ignore (touch c (key 1 2)) (* evicts page 1 *);
+  Alcotest.(check bool) "page 0 kept" true (contains c (key 1 0));
+  Alcotest.(check bool) "page 1 evicted" false (contains c (key 1 1));
+  Alcotest.(check bool) "page 2 resident" true (contains c (key 1 2))
 
 let test_invalidate_file () =
   let c = Page_cache.create ~capacity_pages:8 in
-  ignore (Page_cache.touch c (key 1 0));
-  ignore (Page_cache.touch c (key 1 1));
-  ignore (Page_cache.touch c (key 2 0));
+  ignore (touch c (key 1 0));
+  ignore (touch c (key 1 1));
+  ignore (touch c (key 2 0));
   Alcotest.(check int) "two dropped" 2 (Page_cache.invalidate_file c ~file_id:1);
   Alcotest.(check int) "one left" 1 (Page_cache.resident c);
-  Alcotest.(check bool) "other file kept" true (Page_cache.contains c (key 2 0))
+  Alcotest.(check bool) "other file kept" true (contains c (key 2 0))
 
 let prop_resident_bounded =
   QCheck.Test.make ~name:"resident pages never exceed capacity" ~count:200
     QCheck.(pair (int_range 1 16) (list (pair (int_bound 4) (int_bound 50))))
     (fun (cap, touches) ->
       let c = Page_cache.create ~capacity_pages:cap in
-      List.iter (fun (f, p) -> ignore (Page_cache.touch c (key f p))) touches;
+      List.iter (fun (f, p) -> ignore (touch c (key f p))) touches;
       Page_cache.resident c <= cap)
 
 let prop_lru_recency =
@@ -45,9 +47,9 @@ let prop_lru_recency =
     QCheck.(pair (int_range 1 8) (list_of_size Gen.(1 -- 60) (int_bound 40)))
     (fun (cap, pages) ->
       let c = Page_cache.create ~capacity_pages:cap in
-      List.iter (fun p -> ignore (Page_cache.touch c (key 0 p))) pages;
+      List.iter (fun p -> ignore (touch c (key 0 p))) pages;
       match List.rev pages with
-      | last :: _ -> Page_cache.contains c (key 0 last)
+      | last :: _ -> contains c (key 0 last)
       | [] -> true)
 
 (* --- Fs --- *)

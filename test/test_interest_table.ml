@@ -35,13 +35,14 @@ let test_modify_resets_hint_and_cache () =
   (match Interest_table.find t 1 with
   | Some i ->
       i.Interest_table.hint <- Pollmask.pollin;
-      i.Interest_table.cached <- Some Pollmask.pollin
+      i.Interest_table.cached <- Pollmask.pollin;
+      i.Interest_table.cache_valid <- true
   | None -> Alcotest.fail "missing");
   ignore (Interest_table.set t ~fd:1 ~events:Pollmask.pollin);
   match Interest_table.find t 1 with
   | Some i ->
       Alcotest.check Helpers.mask "hint cleared" Pollmask.empty i.Interest_table.hint;
-      Alcotest.(check bool) "cache cleared" true (i.Interest_table.cached = None)
+      Alcotest.(check bool) "cache cleared" false i.Interest_table.cache_valid
   | None -> Alcotest.fail "missing"
 
 let test_remove () =

@@ -194,7 +194,8 @@ let test_devpoll_via_syscalls () =
   ignore (Helpers.ok (Kernel.devpoll_write rig.proc dpfd [ (fd, Pollmask.pollin) ]));
   let got = ref [] in
   (match
-     Kernel.devpoll_wait rig.proc dpfd ~max_results:4 ~timeout:None ~k:(fun rs -> got := rs)
+     Kernel.devpoll_wait rig.proc dpfd ~max_results:4 ~timeout:None
+       ~k:(Helpers.pairs (fun rs -> got := rs))
    with
   | Ok () -> ()
   | Error `Ebadf -> Alcotest.fail "devpoll_wait Ebadf");
@@ -203,7 +204,7 @@ let test_devpoll_via_syscalls () =
   | None -> Alcotest.fail "no conn");
   Engine.run rig.engine;
   match !got with
-  | [ r ] -> Alcotest.(check int) "fd reported" fd r.Poll.fd
+  | [ (rfd, _) ] -> Alcotest.(check int) "fd reported" fd rfd
   | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
 
 let test_rt_signals_via_syscalls () =

@@ -43,9 +43,9 @@ let arbitrary_script nfds =
 (* Readable-according-to-poll for one fd, from a poll result list. *)
 let readable_in results fd =
   List.exists
-    (fun r ->
-      r.Poll.fd = fd
-      && Pollmask.intersects r.Poll.revents
+    (fun (rfd, revents) ->
+      rfd = fd
+      && Pollmask.intersects revents
            (Pollmask.union Pollmask.readable
               (Pollmask.union Pollmask.pollhup Pollmask.pollerr)))
     results
@@ -72,11 +72,12 @@ let run_script nfds ops =
   let ok = ref true in
   let observe () =
     let poll_r = ref [] and dev_r = ref [] and ep_r = ref [] and sel_r = ref None in
-    Poll.wait ~host ~lookup ~interests ~timeout:(Some Time.zero) ~k:(fun rs ->
-        poll_r := rs);
-    Devpoll.dp_poll dev ~max_results:nfds ~timeout:(Some Time.zero) ~k:(fun rs ->
-        dev_r := rs);
-    Epoll.wait ep ~max_events:nfds ~timeout:(Some Time.zero) ~k:(fun rs -> ep_r := rs);
+    Poll.wait ~host ~lookup ~interests ~timeout:(Some Time.zero) ~k:(Helpers.pairs (fun rs ->
+        poll_r := rs));
+    Devpoll.dp_poll dev ~max_results:nfds ~timeout:(Some Time.zero) ~k:(Helpers.pairs (fun rs ->
+        dev_r := rs));
+    Epoll.wait ep ~max_events:nfds ~timeout:(Some Time.zero)
+      ~k:(Helpers.pairs (fun rs -> ep_r := rs));
     Select.select ~host ~lookup ~read:read_set ~write:none ~except:none
       ~timeout:(Some Time.zero) ~k:(fun r -> sel_r := Some r);
     Engine.run engine;

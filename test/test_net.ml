@@ -7,7 +7,8 @@ let test_latency_only () =
     Link.create ~engine ~bandwidth_bits_per_sec:100_000_000 ~latency:(Time.us 100)
   in
   let arrived = ref None in
-  Link.transmit link ~bytes_len:0 (fun () -> arrived := Some (Engine.now engine));
+  Link.transmit link ~extra_latency:Time.zero ~bytes_len:0
+    (fun () -> arrived := Some (Engine.now engine));
   Engine.run engine;
   Alcotest.(check (option int)) "pure latency" (Some (Time.us 100)) !arrived
 
@@ -23,8 +24,10 @@ let test_fifo_queueing () =
   let link = Link.create ~engine ~bandwidth_bits_per_sec:8_000 ~latency:Time.zero in
   (* 8 kbit/s: 1000 bytes take exactly 1 s. *)
   let t1 = ref None and t2 = ref None in
-  Link.transmit link ~bytes_len:1000 (fun () -> t1 := Some (Engine.now engine));
-  Link.transmit link ~bytes_len:1000 (fun () -> t2 := Some (Engine.now engine));
+  Link.transmit link ~extra_latency:Time.zero ~bytes_len:1000
+    (fun () -> t1 := Some (Engine.now engine));
+  Link.transmit link ~extra_latency:Time.zero ~bytes_len:1000
+    (fun () -> t2 := Some (Engine.now engine));
   Engine.run engine;
   Alcotest.(check (option int)) "first at 1s" (Some (Time.s 1)) !t1;
   Alcotest.(check (option int)) "second queues behind" (Some (Time.s 2)) !t2
@@ -41,7 +44,7 @@ let test_extra_latency () =
 let test_utilization_and_bytes () =
   let engine = Engine.create () in
   let link = Link.create ~engine ~bandwidth_bits_per_sec:8_000 ~latency:Time.zero in
-  Link.transmit link ~bytes_len:500 (fun () -> ());
+  Link.transmit link ~extra_latency:Time.zero ~bytes_len:500 (fun () -> ());
   Engine.run engine;
   Alcotest.(check int) "bytes" 500 (Link.bytes_sent link);
   Alcotest.(check (float 1e-6)) "utilization 100% while sending" 1.0
@@ -55,14 +58,16 @@ let test_validation () =
   let link = Link.create ~engine ~bandwidth_bits_per_sec:1 ~latency:Time.zero in
   Alcotest.check_raises "negative length"
     (Invalid_argument "Link.transmit: negative length") (fun () ->
-      Link.transmit link ~bytes_len:(-1) (fun () -> ()))
+      Link.transmit link ~extra_latency:Time.zero ~bytes_len:(-1) (fun () -> ()))
 
 let test_network_directions_independent () =
   let engine = Engine.create () in
   let net = Network.create ~engine ~bandwidth_bits_per_sec:8_000 ~latency:Time.zero () in
   let up = ref None and down = ref None in
-  Network.send_to_server net ~bytes_len:1000 (fun () -> up := Some (Engine.now engine));
-  Network.send_to_client net ~bytes_len:1000 (fun () -> down := Some (Engine.now engine));
+  Network.send_to_server net ~extra_latency:Time.zero ~bytes_len:1000
+    (fun () -> up := Some (Engine.now engine));
+  Network.send_to_client net ~extra_latency:Time.zero ~bytes_len:1000
+    (fun () -> down := Some (Engine.now engine));
   Engine.run engine;
   (* Full duplex: both finish at 1s, no cross-queueing. *)
   Alcotest.(check (option int)) "up" (Some (Time.s 1)) !up;

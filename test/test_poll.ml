@@ -25,12 +25,11 @@ let add env fd =
 let lookup env fd = Hashtbl.find_opt env.sockets fd
 
 let poll env ~interests ~timeout ~k =
-  Poll.wait ~host:env.host ~lookup:(lookup env) ~interests ~timeout ~k
+  Poll.wait ~host:env.host ~lookup:(lookup env) ~interests ~timeout ~k:(Helpers.pairs k)
 
 let results_testable =
   Alcotest.(list (pair int Helpers.mask))
 
-let as_pairs rs = List.map (fun r -> (r.Poll.fd, r.Poll.revents)) rs
 
 let test_immediate_ready () =
   let env = mk () in
@@ -41,7 +40,7 @@ let test_immediate_ready () =
   Engine.run env.engine;
   match !got with
   | Some rs ->
-      Alcotest.check results_testable "ready" [ (3, Pollmask.pollin) ] (as_pairs rs)
+      Alcotest.check results_testable "ready" [ (3, Pollmask.pollin) ] rs
   | None -> Alcotest.fail "poll never returned"
 
 let test_timeout_zero_returns_empty () =
@@ -58,7 +57,7 @@ let test_blocks_until_event () =
   let s = add env 1 in
   let got_at = ref None in
   poll env ~interests:[ (1, Pollmask.pollin) ] ~timeout:None ~k:(fun rs ->
-      got_at := Some (Engine.now env.engine, as_pairs rs));
+      got_at := Some (Engine.now env.engine, rs));
   ignore
     (Engine.at env.engine (Time.ms 50) (fun () ->
          ignore (Socket.deliver s ~bytes_len:5 ~payload:"")));
@@ -89,7 +88,7 @@ let test_closed_fd_reports_nval () =
   Engine.run env.engine;
   match !got with
   | Some rs ->
-      Alcotest.check results_testable "NVAL" [ (9, Pollmask.pollnval) ] (as_pairs rs)
+      Alcotest.check results_testable "NVAL" [ (9, Pollmask.pollnval) ] rs
   | None -> Alcotest.fail "poll never returned"
 
 let test_err_hup_forced () =
@@ -101,8 +100,8 @@ let test_err_hup_forced () =
   poll env ~interests:[ (2, Pollmask.pollout) ] ~timeout:None ~k:(fun rs -> got := Some rs);
   Engine.run env.engine;
   match !got with
-  | Some [ r ] ->
-      Alcotest.(check bool) "POLLERR forced" true (Pollmask.mem Pollmask.pollerr r.Poll.revents)
+  | Some [ (_, revents) ] ->
+      Alcotest.(check bool) "POLLERR forced" true (Pollmask.mem Pollmask.pollerr revents)
   | Some _ | None -> Alcotest.fail "expected one result"
 
 let test_multiple_ready_in_interest_order () =
@@ -115,7 +114,7 @@ let test_multiple_ready_in_interest_order () =
   poll env
     ~interests:[ (3, Pollmask.pollin); (1, Pollmask.pollin); (2, Pollmask.pollout) ]
     ~timeout:None
-    ~k:(fun rs -> got := Some (as_pairs rs));
+    ~k:(fun rs -> got := Some rs);
   Engine.run env.engine;
   match !got with
   | Some rs ->

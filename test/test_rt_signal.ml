@@ -52,11 +52,8 @@ let test_fifo_within_signo () =
   ignore (Socket.deliver s1 ~bytes_len:1 ~payload:"");
   ignore (Socket.deliver s2 ~bytes_len:1 ~payload:"");
   let fds = ref [] in
-  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero) ~k:(fun ds ->
-      fds :=
-        List.filter_map
-          (function Rt_signal.Signal i -> Some i.Rt_signal.fd | Rt_signal.Overflow -> None)
-          ds);
+  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun ds -> fds := List.map fst ds));
   Engine.run env.engine;
   Alcotest.(check (list int)) "FIFO" [ 1; 2 ] !fds
 
@@ -71,11 +68,8 @@ let test_lower_signo_delivered_first () =
   ignore (Socket.deliver s1 ~bytes_len:1 ~payload:"");
   ignore (Socket.deliver s2 ~bytes_len:1 ~payload:"");
   let fds = ref [] in
-  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero) ~k:(fun ds ->
-      fds :=
-        List.filter_map
-          (function Rt_signal.Signal i -> Some i.Rt_signal.fd | Rt_signal.Overflow -> None)
-          ds);
+  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun ds -> fds := List.map fst ds));
   Engine.run env.engine;
   Alcotest.(check (list int)) "lower signo first" [ 2; 1 ] !fds
 
@@ -122,10 +116,11 @@ let test_stale_events_after_close () =
   (* close posts POLLNVAL, also queued; both survive the close. *)
   Alcotest.(check bool) "signals survive close" true (Rt_signal.pending env.q >= 1);
   let got = ref [] in
-  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero) ~k:(fun ds -> got := ds);
+  Rt_signal.sigtimedwait4 env.q ~max:10 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun ds -> got := ds));
   Engine.run env.engine;
   match !got with
-  | Rt_signal.Signal { fd; _ } :: _ -> Alcotest.(check int) "stale fd" 9 fd
+  | (fd, _) :: _ -> Alcotest.(check int) "stale fd" 9 fd
   | _ -> Alcotest.fail "expected stale signal"
 
 let test_flush_discards () =
@@ -184,7 +179,8 @@ let test_sigtimedwait4_batches () =
       ignore (Socket.deliver s ~bytes_len:1 ~payload:""))
     sockets;
   let batch = ref [] in
-  Rt_signal.sigtimedwait4 env.q ~max:4 ~timeout:(Some Time.zero) ~k:(fun ds -> batch := ds);
+  Rt_signal.sigtimedwait4 env.q ~max:4 ~timeout:(Some Time.zero)
+    ~k:(Helpers.pairs (fun ds -> batch := ds));
   Engine.run env.engine;
   Alcotest.(check int) "batch of 4" 4 (List.length !batch);
   Alcotest.(check int) "two remain" 2 (Rt_signal.pending env.q)
@@ -193,7 +189,7 @@ let test_sigtimedwait4_timeout () =
   let env = mk () in
   let got_at = ref None in
   Rt_signal.sigtimedwait4 env.q ~max:4 ~timeout:(Some (Time.ms 15)) ~k:(fun ds ->
-      got_at := Some (Engine.now env.engine, List.length ds));
+      got_at := Some (Engine.now env.engine, Ready_batch.length ds));
   Engine.run env.engine;
   Alcotest.(check (option (pair int int))) "empty at timeout" (Some (Time.ms 15, 0)) !got_at
 

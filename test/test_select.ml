@@ -128,7 +128,7 @@ let prop_select_agrees_with_poll_on_readability =
       Poll.wait ~host:env.host ~lookup:(Hashtbl.find_opt env.sockets)
         ~interests:(List.map (fun fd -> (fd, Pollmask.pollin)) fds)
         ~timeout:(Some Time.zero)
-        ~k:(fun rs -> pl := Some rs);
+        ~k:(Helpers.pairs (fun rs -> pl := Some rs));
       Engine.run env.engine;
       match (!sel, !pl) with
       | Some sel, Some pl ->
@@ -137,8 +137,7 @@ let prop_select_agrees_with_poll_on_readability =
               let select_says = Fd_set.mem sel.Select.readable fd in
               let poll_says =
                 List.exists
-                  (fun r ->
-                    r.Poll.fd = fd && Pollmask.intersects r.Poll.revents Pollmask.pollin)
+                  (fun (rfd, revents) -> rfd = fd && Pollmask.intersects revents Pollmask.pollin)
                   pl
               in
               select_says = poll_says)
