@@ -101,10 +101,11 @@ bench-smoke: build
 # Refresh the committed shard-scaling figure CSVs (figures/). CI
 # regenerates the figure at the same scale and diffs against these, so
 # run this after any change that moves the cluster numbers. The JSON
-# sidecar carries host RSS and is deliberately not committed.
+# sidecars (shard-scaling.json, shard-ablation.json) carry host RSS and
+# are deliberately not committed.
 figures-shard: build
 	dune exec bin/sio_figures.exe -- shard-scaling -q --csv figures
-	rm -f figures/shard-scaling.json
+	rm -f figures/*.json
 
 clean:
 	dune clean

@@ -8,37 +8,52 @@
    grows with size much faster than /dev/poll's. *)
 
 open Sio_loadgen
+module Figures = Scalanio.Figures
 
 let devpoll = Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 }
 
-let run_one ~kind ~doc_bytes ~scale =
-  let workload =
-    Workload.scaled
-      {
-        Workload.default with
-        Workload.request_rate = 500;
-        inactive_connections = 251;
-        doc_bytes;
-      }
-      scale
+(* The document size is the x axis; each size gets its own derived
+   seed, like every figure's points. *)
+let figure =
+  let series label kind =
+    {
+      Figures.label;
+      cap = None;
+      config =
+        (fun ~scale ~seed doc_bytes ->
+          let workload =
+            Workload.scaled
+              {
+                Workload.default with
+                Workload.request_rate = 500;
+                inactive_connections = 251;
+                doc_bytes;
+              }
+              scale
+          in
+          Figures.Single
+            {
+              (Experiment.default_config ~kind ~workload) with
+              Experiment.seed = Sio_sim.Rng.derive ~seed doc_bytes;
+            });
+    }
   in
-  Experiment.run (Experiment.default_config ~kind ~workload)
+  {
+    Figures.id = "docsize";
+    title = "Document size sensitivity (500 req/s, 251 idle connections)";
+    expectation =
+      "Paper section 5: bigger documents keep descriptors active longer, \
+       inflating the amortized cost of polling each one; poll's per-request \
+       cost grows with size much faster than /dev/poll's.";
+    axis = "doc_bytes";
+    xs = [ 1_024; 6_144; 16_384 ];
+    series = [ series "poll" Experiment.Thttpd_poll; series "devpoll" devpoll ];
+    columns = Report.(reply_stats @ [ Median_ms ]);
+    chart = Figures.Compare [ Report.Avg; Report.Median_ms ];
+  }
 
 let run ppf ~scale =
-  Fmt.pf ppf "== Document size sensitivity (500 req/s, 251 idle connections) ==@.";
-  Fmt.pf ppf "(paper section 5: bigger documents keep descriptors active longer,@.";
-  Fmt.pf ppf " inflating the amortized cost of polling each one)@.";
-  Fmt.pf ppf "%10s  %22s  %22s@." "doc bytes" "poll avg/s (med ms)" "devpoll avg/s (med ms)";
-  List.iter
-    (fun doc_bytes ->
-      let p = run_one ~kind:Experiment.Thttpd_poll ~doc_bytes ~scale in
-      let d = run_one ~kind:devpoll ~doc_bytes ~scale in
-      let cell (o : Experiment.outcome) =
-        Printf.sprintf "%7.1f (%7.2f)" o.Experiment.metrics.Metrics.reply_rate_avg
-          (Metrics.median_latency_ms o.Experiment.metrics)
-      in
-      Fmt.pf ppf "%10d  %22s  %22s@." doc_bytes (cell p) (cell d))
-    [ 1_024; 6_144; 16_384 ];
+  Figures.render ppf figure (Figures.run ~scale figure);
   Fmt.pf ppf "@."
 
 (* An "Internet mix": the opening claim of the paper is that 32 fast

@@ -1,11 +1,13 @@
 (* Sequential-vs-parallel wall-clock for a reference figure set.
 
    Runs the same 13-point sweeps (fig5 and fig11, the determinism
-   suite's reference figures) once sequentially and once on a
-   Domain_pool, checks the two produce byte-identical CSV, and writes
+   suite's reference figures) plus tiny legs of the post-paper figures
+   once sequentially and once on a Domain_pool, checks the two produce byte-identical CSV, and writes
    the timings to BENCH_wallclock.json so the repo's perf trajectory
    is measurable PR over PR. Exits non-zero if the parallel results
    diverge — the Makefile's bench-smoke target leans on that. *)
+
+module Figures = Scalanio.Figures
 
 let parse_args () =
   let scale = ref 0.1 in
@@ -32,23 +34,23 @@ let parse_args () =
   (!scale, !jobs, !out, figures)
 
 let resolve id =
-  match Scalanio.Figures.find id with
+  match Figures.find id with
   | Some fig -> fig
   | None ->
       Fmt.epr "bench_wallclock: unknown figure %S@." id;
       exit 2
 
 (* Every number a figure produces, as one string: any divergence
-   between the two passes shows up as a fingerprint mismatch. The idle
-   leg goes through the memory-aware CSV so the modeled kernel-bytes
-   column is held to byte identity too (host RSS deliberately isn't —
-   it never appears in CSV). *)
-let fingerprint (fig_series, idle_series, rs_series, shard_series) =
+   between the two passes shows up as a fingerprint mismatch. Each
+   figure writes through its own columns, so the idle leg's modeled
+   kernel-bytes column is held to byte identity too (host RSS
+   deliberately isn't — no column can carry it). *)
+let fingerprint legs =
   String.concat "\n"
-    (List.map Sio_loadgen.Report.csv_of_series (List.concat fig_series)
-    @ List.map Sio_loadgen.Report.csv_of_idle_series idle_series
-    @ List.map Sio_loadgen.Report.csv_of_response_size_series rs_series
-    @ List.map Sio_loadgen.Report.csv_of_shard_series shard_series)
+    (List.concat_map
+       (fun (fig, series) ->
+         List.map (Sio_loadgen.Report.csv_of_series ~axis:fig.Figures.axis fig.Figures.columns) series)
+       legs)
 
 (* Measuring host wall time is the entire point of this bench; it
    never feeds back into the simulation (only the CSV fingerprint,
@@ -58,40 +60,26 @@ let timed f =
   let r = f () in
   (r, (Unix.gettimeofday () [@lint.ignore "host wall-clock is this bench's measurand"]) -. t0)
 
-(* Tiny idle-scaling leg folded into both passes, so the incremental
-   ready sets are part of the byte-identity fingerprint too. *)
-let idle_smoke = [ 1; 51 ]
-
-(* Likewise a tiny response-size leg: the streaming send machine, the
-   transmit ring's page accounting, and the per-page cost charging all
-   feed the fingerprint (16 KB exercises multi-page maps; 1 KB the
-   partial-page and attach-fallback economics). *)
-let response_size_smoke = [ 1024; 16384 ]
-
-(* And a {1,2}-shard cluster leg: the steering pre-pass, the
-   partitioned per-shard worlds, and the order-insensitive outcome
-   merge all land in the fingerprint (the 2-shard points run their
-   shards sequentially inside one pool task in the parallel pass, so
-   scheduling independence is checked end to end). *)
-let shard_smoke = [ 1; 2 ]
+(* Tiny legs of the post-paper figures folded into both passes, so
+   their code paths are part of the byte-identity fingerprint too:
+   - idle-scaling at {1, 51} idle: the incremental ready sets;
+   - response-size at 1 KB and 16 KB: the streaming send machine, the
+     transmit ring's page accounting and the per-page cost charging
+     (16 KB exercises multi-page maps; 1 KB the partial-page and
+     attach-fallback economics);
+   - shard-scaling at {1, 2} shards: the steering pre-pass, the
+     partitioned per-shard worlds and the order-insensitive outcome
+     merge (the 2-shard points run their shards sequentially inside
+     one pool task in the parallel pass, so scheduling independence
+     is checked end to end). *)
+let smoke_legs =
+  Figures.[ (idle_scaling, Some [ 1; 51 ]); (response_size, Some [ 1024; 16384 ]); (shard_scaling, Some [ 1; 2 ]) ]
 
 let () =
   let scale, jobs, out, figure_ids = parse_args () in
-  let figures = List.map resolve figure_ids in
-  let points =
-    List.fold_left (fun n f -> n + List.length f.Scalanio.Figures.rates) 0 figures
-    + List.length idle_smoke
-    + (List.length response_size_smoke
-      * List.length Scalanio.Figures.response_size.Scalanio.Figures.rs_series)
-    + (List.length shard_smoke
-      * List.length Scalanio.Figures.shard_scaling.Scalanio.Figures.ss_series)
-  in
-  let run pool =
-    ( List.map (fun fig -> Scalanio.Figures.run ?pool ~scale fig) figures,
-      Scalanio.Figures.run_idle_scaling ?pool ~idles:idle_smoke ~rate:300 (),
-      Scalanio.Figures.run_response_size ?pool ~sizes:response_size_smoke ~scale (),
-      Scalanio.Figures.run_shard_scaling ?pool ~shards:shard_smoke ~scale () )
-  in
+  let legs = List.map (fun id -> (resolve id, None)) figure_ids @ smoke_legs in
+  let points = List.fold_left (fun n (fig, xs) -> n + Figures.point_count ?xs fig) 0 legs in
+  let run pool = List.map (fun (fig, xs) -> (fig, Figures.run ?pool ~scale ?xs fig)) legs in
   Fmt.epr
     "bench_wallclock: %s+idle-scaling+response-size+shard-scaling, %d points/figure-set, scale %.2f@."
     (String.concat "+" figure_ids) points scale;

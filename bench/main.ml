@@ -46,7 +46,7 @@ let () =
   let run_figures pool =
     List.iter
       (fun fig ->
-        let series = Scalanio.Figures.run ?pool ~scale ~rates fig in
+        let series = Scalanio.Figures.run ?pool ~scale ~xs:rates fig in
         Scalanio.Figures.render ppf fig series;
         Fmt.pf ppf "@.")
       Scalanio.Figures.all

@@ -3,6 +3,8 @@
    `sio_figures all` reproduces the whole evaluation section. *)
 
 open Cmdliner
+open Sio_loadgen
+module Figures = Scalanio.Figures
 
 let rates_conv =
   let parse s =
@@ -10,7 +12,7 @@ let rates_conv =
     | [ from; until; step ] -> (
         match (int_of_string_opt from, int_of_string_opt until, int_of_string_opt step) with
         | Some f, Some u, Some st when st > 0 && u >= f ->
-            Ok (Sio_loadgen.Sweep.rates ~from:f ~until:u ~step:st)
+            Ok (Sweep.rates ~from:f ~until:u ~step:st)
         | _, _, _ -> Error (`Msg "expected FROM:UNTIL:STEP with positive step"))
     | _ -> Error (`Msg "expected FROM:UNTIL:STEP")
   in
@@ -18,262 +20,33 @@ let rates_conv =
   Arg.conv (parse, print)
 
 let list_figures () =
+  List.iter (fun f -> Fmt.pr "%-16s %s@." f.Figures.id f.Figures.title) Figures.all;
   List.iter
-    (fun f -> Fmt.pr "%-16s %s@." f.Scalanio.Figures.id f.Scalanio.Figures.title)
-    Scalanio.Figures.all;
-  let is = Scalanio.Figures.idle_scaling in
-  Fmt.pr "%-16s %s (not in 'all'; request explicitly)@." is.Scalanio.Figures.is_id
-    is.Scalanio.Figures.is_title;
-  let rs = Scalanio.Figures.response_size in
-  Fmt.pr "%-16s %s (not in 'all'; request explicitly)@." rs.Scalanio.Figures.rs_id
-    rs.Scalanio.Figures.rs_title;
-  let ss = Scalanio.Figures.shard_scaling in
-  Fmt.pr "%-16s %s (not in 'all'; request explicitly)@." ss.Scalanio.Figures.ss_id
-    ss.Scalanio.Figures.ss_title
+    (fun f ->
+      Fmt.pr "%-16s %s (not in 'all'; request explicitly)@." f.Figures.id f.Figures.title)
+    Figures.heavy
 
 let sanitize label =
   String.map (fun c -> if c = ' ' || c = '/' || c = '=' then '-' else c) label
 
-let write_csv dir fig series =
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Fmt.epr "wrote %s@." path
+
+(* One CSV per series, plus the figure's JSON sidecar: the CSVs hold
+   only deterministic columns; host-side context (RSS) is JSON only. *)
+let write_outputs dir ~seed ~scale fig series =
   List.iter
     (fun s ->
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "%s-%s.csv" fig.Scalanio.Figures.id
-             (sanitize s.Sio_loadgen.Report.label))
-      in
-      let oc = open_out path in
-      output_string oc (Sio_loadgen.Report.csv_of_series s);
-      close_out oc;
-      Fmt.epr "wrote %s@." path)
-    series
-
-let write_idle_csv dir series =
-  List.iter
-    (fun s ->
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "idle-scaling-%s.csv" (sanitize s.Sio_loadgen.Report.label))
-      in
-      let oc = open_out path in
-      output_string oc (Sio_loadgen.Report.csv_of_idle_series s);
-      close_out oc;
-      Fmt.epr "wrote %s@." path)
-    series
-
-(* The memory report: modeled kernel bytes (deterministic) next to the
-   measuring host's RSS (not deterministic, hence JSON only — the CSVs
-   and fingerprints stay reproducible). *)
-let write_idle_json dir seed series =
-  let path = Filename.concat dir "idle-scaling.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"figure\": \"idle-scaling\",\n  \"rate\": %d,\n  \"seed\": %d,\n  \"series\": [\n"
-       Scalanio.Figures.idle_scaling.Scalanio.Figures.is_rate seed);
-  List.iteri
-    (fun si s ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\n      \"label\": %S,\n      \"points\": [\n"
-           s.Sio_loadgen.Report.label);
-      let n = List.length s.Sio_loadgen.Report.points in
-      List.iteri
-        (fun pi p ->
-          let o = p.Sio_loadgen.Sweep.outcome in
-          let m = o.Sio_loadgen.Experiment.metrics in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "        {\"idle\": %d, \"reply_rate_avg\": %.2f, \"err_percent\": %.2f, \"median_ms\": %.3f, \"kernel_mem_peak_bytes\": %d, \"host_rss_bytes\": %d}%s\n"
-               p.Sio_loadgen.Sweep.rate m.Sio_loadgen.Metrics.reply_rate_avg
-               m.Sio_loadgen.Metrics.error_percent
-               (Sio_loadgen.Metrics.median_latency_ms m)
-               o.Sio_loadgen.Experiment.kernel_mem_peak
-               o.Sio_loadgen.Experiment.host_rss_bytes
-               (if pi = n - 1 then "" else ",")))
-        s.Sio_loadgen.Report.points;
-      Buffer.add_string buf
-        (Printf.sprintf "      ]\n    }%s\n"
-           (if si = List.length series - 1 then "" else ",")))
+      write_file
+        (Filename.concat dir (Printf.sprintf "%s-%s.csv" fig.Figures.id (sanitize s.Report.label)))
+        (Report.csv_of_series ~axis:fig.Figures.axis fig.Figures.columns s))
     series;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Fmt.epr "wrote %s@." path
-
-let write_response_size_csv dir series =
-  List.iter
-    (fun s ->
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "response-size-%s.csv" (sanitize s.Sio_loadgen.Report.label))
-      in
-      let oc = open_out path in
-      output_string oc (Sio_loadgen.Report.csv_of_response_size_series s);
-      close_out oc;
-      Fmt.epr "wrote %s@." path)
-    series
-
-let write_response_size_json dir seed scale series =
-  let path = Filename.concat dir "response-size.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"figure\": \"response-size\",\n  \"seed\": %d,\n  \"scale\": %g,\n  \"series\": [\n"
-       seed scale);
-  List.iteri
-    (fun si s ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\n      \"label\": %S,\n      \"points\": [\n"
-           s.Sio_loadgen.Report.label);
-      let n = List.length s.Sio_loadgen.Report.points in
-      List.iteri
-        (fun pi p ->
-          let o = p.Sio_loadgen.Sweep.outcome in
-          let m = o.Sio_loadgen.Experiment.metrics in
-          let body = p.Sio_loadgen.Sweep.rate in
-          let wire = Sio_httpd.Http.response_bytes ~body_bytes:body in
-          let mbit =
-            m.Sio_loadgen.Metrics.reply_rate_avg *. float_of_int wire *. 8. /. 1e6
-          in
-          let st = o.Sio_loadgen.Experiment.server_stats in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "        {\"body_bytes\": %d, \"offered_rate\": %d, \"reply_rate_avg\": %.2f, \"mbit_s\": %.2f, \"err_percent\": %.2f, \"median_ms\": %.3f, \"partial_writes\": %d, \"bytes_sent\": %d, \"kernel_mem_peak_bytes\": %d}%s\n"
-               body
-               (Scalanio.Figures.response_size_rate body)
-               m.Sio_loadgen.Metrics.reply_rate_avg mbit
-               m.Sio_loadgen.Metrics.error_percent
-               (Sio_loadgen.Metrics.median_latency_ms m)
-               st.Sio_httpd.Server_stats.partial_writes
-               st.Sio_httpd.Server_stats.bytes_sent
-               o.Sio_loadgen.Experiment.kernel_mem_peak
-               (if pi = n - 1 then "" else ",")))
-        s.Sio_loadgen.Report.points;
-      Buffer.add_string buf
-        (Printf.sprintf "      ]\n    }%s\n"
-           (if si = List.length series - 1 then "" else ",")))
-    series;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Fmt.epr "wrote %s@." path
-
-let run_response_size pool scale seed quiet csv_dir =
-  let on_point ~label p =
-    if not quiet then
-      Fmt.epr "  [response-size] %s body=%d avg=%.1f err=%.1f%%@." label
-        p.Sio_loadgen.Sweep.rate
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.reply_rate_avg
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.error_percent
-  in
-  let series = Scalanio.Figures.run_response_size ?pool ~scale ~seed ~on_point () in
-  Scalanio.Figures.render_response_size Fmt.stdout series;
-  (match csv_dir with Some dir -> write_response_size_csv dir series | None -> ());
-  write_response_size_json
-    (Option.value csv_dir ~default:Filename.current_dir_name)
-    seed scale series;
-  Fmt.pr "@."
-
-let write_shard_csv dir ~main ~ablation =
-  let write prefix s =
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "%s-%s.csv" prefix (sanitize s.Sio_loadgen.Report.label))
-    in
-    let oc = open_out path in
-    output_string oc (Sio_loadgen.Report.csv_of_shard_series s);
-    close_out oc;
-    Fmt.epr "wrote %s@." path
-  in
-  List.iter (write "shard-scaling") main;
-  List.iter (write "shard-ablation") ablation
-
-let write_shard_json dir seed scale ~main ~ablation =
-  let path = Filename.concat dir "shard-scaling.json" in
-  let buf = Buffer.create 1024 in
-  let f = Scalanio.Figures.shard_scaling in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"figure\": \"shard-scaling\",\n  \"offered_rate\": %d,\n  \"idle\": %d,\n  \"seed\": %d,\n  \"scale\": %g,\n"
-       f.Scalanio.Figures.ss_rate f.Scalanio.Figures.ss_idle seed scale);
-  let block name series last =
-    Buffer.add_string buf (Printf.sprintf "  %S: [\n" name);
-    List.iteri
-      (fun si s ->
-        Buffer.add_string buf
-          (Printf.sprintf "    {\n      \"label\": %S,\n      \"points\": [\n"
-             s.Sio_loadgen.Report.label);
-        let n = List.length s.Sio_loadgen.Report.points in
-        List.iteri
-          (fun pi p ->
-            let o = p.Sio_loadgen.Sweep.outcome in
-            let m = o.Sio_loadgen.Experiment.metrics in
-            let pct q =
-              if Sio_sim.Histogram.count m.Sio_loadgen.Metrics.latency = 0 then 0.
-              else
-                Sio_sim.Time.to_ms_f
-                  (Sio_sim.Histogram.percentile m.Sio_loadgen.Metrics.latency q)
-            in
-            Buffer.add_string buf
-              (Printf.sprintf
-                 "        {\"shards\": %d, \"reply_rate_avg\": %.2f, \"err_percent\": %.2f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"kernel_mem_peak_bytes\": %d, \"host_rss_bytes\": %d}%s\n"
-                 p.Sio_loadgen.Sweep.rate m.Sio_loadgen.Metrics.reply_rate_avg
-                 m.Sio_loadgen.Metrics.error_percent (pct 50.) (pct 99.)
-                 o.Sio_loadgen.Experiment.kernel_mem_peak
-                 o.Sio_loadgen.Experiment.host_rss_bytes
-                 (if pi = n - 1 then "" else ",")))
-          s.Sio_loadgen.Report.points;
-        Buffer.add_string buf
-          (Printf.sprintf "      ]\n    }%s\n"
-             (if si = List.length series - 1 then "" else ",")))
-      series;
-    Buffer.add_string buf (Printf.sprintf "  ]%s\n" (if last then "" else ","))
-  in
-  block "series" main false;
-  block "ablation" ablation true;
-  Buffer.add_string buf "}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Fmt.epr "wrote %s@." path
-
-let run_shard_scaling pool scale seed quiet csv_dir =
-  let on_point ~label p =
-    if not quiet then
-      Fmt.epr "  [shard-scaling] %s shards=%d avg=%.1f err=%.1f%%@." label
-        p.Sio_loadgen.Sweep.rate
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.reply_rate_avg
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.error_percent
-  in
-  let main = Scalanio.Figures.run_shard_scaling ?pool ~scale ~seed ~on_point () in
-  let ablation = Scalanio.Figures.run_shard_ablation ?pool ~scale ~seed ~on_point () in
-  Scalanio.Figures.render_shard_scaling Fmt.stdout ~main ~ablation;
-  (match csv_dir with Some dir -> write_shard_csv dir ~main ~ablation | None -> ());
-  write_shard_json
-    (Option.value csv_dir ~default:Filename.current_dir_name)
-    seed scale ~main ~ablation;
-  Fmt.pr "@."
-
-let run_idle_scaling pool seed quiet csv_dir =
-  let on_point ~label p =
-    if not quiet then
-      Fmt.epr "  [idle-scaling] %s idle=%d avg=%.1f err=%.1f%%@." label
-        p.Sio_loadgen.Sweep.rate
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.reply_rate_avg
-        p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-          .Sio_loadgen.Metrics.error_percent
-  in
-  let series = Scalanio.Figures.run_idle_scaling ?pool ~seed ~on_point () in
-  Scalanio.Figures.render_idle_scaling Fmt.stdout series;
-  (match csv_dir with Some dir -> write_idle_csv dir series | None -> ());
-  write_idle_json (Option.value csv_dir ~default:Filename.current_dir_name) seed series;
-  Fmt.pr "@."
+  write_file
+    (Filename.concat dir (fig.Figures.id ^ ".json"))
+    (Figures.json ~seed ~scale fig series)
 
 let with_jobs jobs f =
   match jobs with
@@ -282,67 +55,47 @@ let with_jobs jobs f =
       let size = if n = 0 then None else Some n in
       Sio_sim.Domain_pool.with_pool ?size (fun pool -> f (Some pool))
 
+(* A name's figures: 'all' is the rate-axis catalogue, and
+   shard-scaling brings its steering ablation along. *)
+let resolve = function
+  | "all" -> Some Figures.all
+  | "shard-scaling" -> Some [ Figures.shard_scaling; Figures.shard_ablation ]
+  | n -> Option.map (fun f -> [ f ]) (Figures.find n)
+
 let run_figures names scale seed rates quiet csv_dir jobs =
   if jobs < 0 then begin
     Fmt.epr "sio_figures: --jobs must be >= 0 (got %d)@." jobs;
     exit 1
   end;
-  (* idle-scaling and response-size have their own shapes (x axis =
-     idle count / body size, per-point rates) and are heavier than a
-     classic figure, so they are excluded from 'all' and handled
-     separately when named. *)
-  let names, want_idle_scaling =
-    let want = List.mem "idle-scaling" names in
-    (List.filter (fun n -> n <> "idle-scaling") names, want)
-  in
-  let names, want_response_size =
-    let want = List.mem "response-size" names in
-    (List.filter (fun n -> n <> "response-size") names, want)
-  in
-  let names, want_shard_scaling =
-    let want = List.mem "shard-scaling" names in
-    (List.filter (fun n -> n <> "shard-scaling") names, want)
-  in
-  let targets =
-    match names with
-    | [] when want_idle_scaling || want_response_size || want_shard_scaling -> Ok []
-    | [] | [ "all" ] -> Ok Scalanio.Figures.all
-    | names ->
-        let rec resolve acc = function
-          | [] -> Ok (List.rev acc)
-          | n :: rest -> (
-              match Scalanio.Figures.find n with
-              | Some f -> resolve (f :: acc) rest
-              | None -> Error n)
-        in
-        resolve [] names
-  in
-  match targets with
-  | Error n ->
+  let names = if names = [] then [ "all" ] else names in
+  match List.find_opt (fun n -> resolve n = None) names with
+  | Some n ->
       Fmt.epr "unknown figure %S; try `sio_figures list`@." n;
       1
-  | Ok figures ->
-      with_jobs jobs (fun pool ->
-          List.iter
-            (fun fig ->
-              let on_point ~label p =
-                if not quiet then
-                  Fmt.epr "  [%s] %s rate=%d avg=%.1f err=%.1f%%@." fig.Scalanio.Figures.id
-                    label p.Sio_loadgen.Sweep.rate
-                    p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-                      .Sio_loadgen.Metrics.reply_rate_avg
-                    p.Sio_loadgen.Sweep.outcome.Sio_loadgen.Experiment.metrics
-                      .Sio_loadgen.Metrics.error_percent
-              in
-              let series = Scalanio.Figures.run ?pool ~scale ?rates ~seed ~on_point fig in
-              Scalanio.Figures.render Fmt.stdout fig series;
-              (match csv_dir with Some dir -> write_csv dir fig series | None -> ());
-              Fmt.pr "@.")
-            figures;
-          if want_idle_scaling then run_idle_scaling pool seed quiet csv_dir;
-          if want_response_size then run_response_size pool scale seed quiet csv_dir;
-          if want_shard_scaling then run_shard_scaling pool scale seed quiet csv_dir);
-      0
+  | None -> (
+      let figures = List.concat_map (fun n -> Option.get (resolve n)) names in
+      match List.find_opt (fun f -> f.Figures.axis <> "rate") figures with
+      | Some f when rates <> None ->
+          Fmt.epr "sio_figures: --rates sets request rates, but %s's x axis is %s@."
+            f.Figures.id f.Figures.axis;
+          1
+      | _ ->
+          with_jobs jobs (fun pool ->
+              List.iter
+                (fun fig ->
+                  let on_point ~label p =
+                    let m = p.Sweep.outcome.Experiment.metrics in
+                    if not quiet then
+                      Fmt.epr "  [%s] %s %s=%d avg=%.1f err=%.1f%%@." fig.Figures.id label
+                        fig.Figures.axis p.Sweep.x m.Metrics.reply_rate_avg
+                        m.Metrics.error_percent
+                  in
+                  let series = Figures.run ?pool ~scale ~seed ?xs:rates ~on_point fig in
+                  Figures.render Fmt.stdout fig series;
+                  Option.iter (fun dir -> write_outputs dir ~seed ~scale fig series) csv_dir;
+                  Fmt.pr "@.")
+                figures);
+          0)
 
 let names_arg =
   Arg.(
@@ -361,7 +114,7 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Simu
 let rates_arg =
   Arg.(
     value & opt (some rates_conv) None
-    & info [ "rates" ] ~docv:"FROM:UNTIL:STEP" ~doc:"Override the swept request rates.")
+    & info [ "rates" ] ~docv:"FROM:UNTIL:STEP" ~doc:"Override the swept request rates (rate-axis figures only).")
 
 let quiet_arg = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-point progress.")
 
@@ -369,7 +122,9 @@ let csv_arg =
   Arg.(
     value
     & opt (some dir) None
-    & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each series as a CSV file into $(docv).")
+    & info [ "csv" ] ~docv:"DIR" ~doc:
+            "Also write each series as a CSV file, and each figure's JSON \
+             sidecar, into $(docv).")
 
 let jobs_arg =
   Arg.(

@@ -37,15 +37,10 @@ let spawn_primitives =
   [
     [ "Domain_pool"; "submit" ];
     [ "Domain_pool"; "map" ];
-    [ "Sweep"; "run" ];
     [ "Figures"; "run" ];
-    (* Shard-cluster task roots: a cluster run (and the figure drivers
-       fanning out over shard counts) puts per-shard simulations on
-       pool domains, so everything reachable from these bodies is
-       worker-context. *)
+    (* A cluster run puts per-shard simulations on pool domains, so
+       everything reachable from its body is worker-context. *)
     [ "Cluster"; "run" ];
-    [ "Figures"; "run_shard_scaling" ];
-    [ "Figures"; "run_shard_ablation" ];
   ]
 
 (* A single-segment primitive must match exactly (a bare [enter]);

@@ -7,8 +7,8 @@
    declaration on sight; this one only fires when the whole-program
    analysis finds an actual *write* ([:=], [<-], [Hashtbl.replace],
    [Buffer.add_*], ...) to that binding inside code reachable from a
-   Domain_pool task root ([Domain_pool.submit]/[map], [Sweep.run],
-   [Figures.run] — the task closures live inside those bodies). A
+   Domain_pool task root ([Domain_pool.submit]/[map], [Figures.run],
+   [Cluster.run] — the task closures live inside those bodies). A
    write-once lookup table in a single-domain example is no longer a
    false positive; an [include struct ... end] no longer hides state
    (the index recurses into it). [Atomic.make] is the sanctioned

@@ -15,7 +15,7 @@
      - procfs-read:   open_in (and friends) on a "/proc..." literal
      - hashtbl-iter:  Hashtbl.fold / Hashtbl.to_seq* enumeration order
    sinks:
-     - Report.csv_of_series / Report.csv_of_idle_series (figure CSVs)
+     - Report.csv_of_series (every figure's CSV, whatever its axis)
      - any definition or call head named [fingerprint] (the
        bench-smoke byte-identity comparison)
 
@@ -96,7 +96,7 @@ let suffix_matches spec p =
   p <> [] && prefix (List.rev spec) (List.rev p)
 
 let sink_specs =
-  [ [ "Report"; "csv_of_series" ]; [ "Report"; "csv_of_idle_series" ]; [ "fingerprint" ] ]
+  [ [ "Report"; "csv_of_series" ]; [ "fingerprint" ] ]
 
 let is_sink_path p = List.exists (fun spec -> suffix_matches spec p) sink_specs
 let is_sink_symbol (s : Symbol_index.symbol) = is_sink_path s.qname

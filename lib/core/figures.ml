@@ -1,33 +1,58 @@
 open Sio_loadgen
 
-type chart = Reply_rate | Error_rate | Median_latency
+type config = Single of Experiment.config | Cluster of Cluster.config
 
-type series_spec = {
+type series = {
   label : string;
-  kind : Experiment.server_kind;
-  inactive : int;
+  cap : int option;
+  config : scale:float -> seed:int -> int -> config;
 }
+
+type chart = Reply_rate | Compare of Report.column list
 
 type t = {
   id : string;
   title : string;
-  paper_expectation : string;
+  expectation : string;
+  axis : string;
+  xs : int list;
+  series : series list;
+  columns : Report.column list;
   chart : chart;
-  series : series_spec list;
-  rates : int list;
 }
 
 let devpoll = Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 }
+let epoll = Experiment.Thttpd_epoll { max_events = 64 }
 
-let single_server ~id ~title ~expectation ~kind ~inactive ~label =
+(* The paper's axis: the request rate, swept over a base experiment
+   with [inactive] idle connections. *)
+let rate_series ~label ~kind ~inactive =
+  let config ~scale ~seed rate =
+    let workload =
+      Workload.scaled
+        { Workload.default with Workload.inactive_connections = inactive }
+        scale
+    in
+    let base = { (Experiment.default_config ~kind ~workload) with Experiment.seed } in
+    Single (Sweep.point_config ~base ~min_duration_s:3 rate)
+  in
+  { label; cap = None; config }
+
+let rate_figure ~id ~title ~expectation ?(chart = Reply_rate) series =
   {
     id;
     title;
-    paper_expectation = expectation;
-    chart = Reply_rate;
-    series = [ { label; kind; inactive } ];
-    rates = Sweep.paper_rates;
+    expectation;
+    axis = "rate";
+    xs = Sweep.paper_rates;
+    series =
+      List.map (fun (label, kind, inactive) -> rate_series ~label ~kind ~inactive) series;
+    columns = Report.(reply_stats @ (Median_ms :: counts));
+    chart;
   }
+
+let single_server ~id ~title ~expectation ~kind ~inactive ~label =
+  rate_figure ~id ~title ~expectation [ (label, kind, inactive) ]
 
 let all =
   [
@@ -57,22 +82,18 @@ let all =
         "Handles the idle load with ease; performance only begins to break \
          down at extreme request rates."
       ~kind:devpoll ~inactive:501 ~label:"thttpd+devpoll i=501";
-    {
-      id = "fig10";
-      title = "Connection error rate, 251 and 501 inactive connections";
-      paper_expectation =
+    rate_figure ~id:"fig10"
+      ~title:"Connection error rate, 251 and 501 inactive connections"
+      ~expectation:
         "Stock poll's error rate climbs toward ~60% of connections; \
-         /dev/poll shows no errors at 251 and only sporadic errors at 501.";
-      chart = Error_rate;
-      series =
-        [
-          { label = "poll i=251"; kind = Experiment.Thttpd_poll; inactive = 251 };
-          { label = "devpoll i=251"; kind = devpoll; inactive = 251 };
-          { label = "poll i=501"; kind = Experiment.Thttpd_poll; inactive = 501 };
-          { label = "devpoll i=501"; kind = devpoll; inactive = 501 };
-        ];
-      rates = Sweep.paper_rates;
-    };
+         /dev/poll shows no errors at 251 and only sporadic errors at 501."
+      ~chart:(Compare [ Report.Err_percent ])
+      [
+        ("poll i=251", Experiment.Thttpd_poll, 251);
+        ("devpoll i=251", devpoll, 251);
+        ("poll i=501", Experiment.Thttpd_poll, 501);
+        ("devpoll i=501", devpoll, 501);
+      ];
     single_server ~id:"fig11" ~title:"phhttpd (RT signals), 1 inactive connection"
       ~expectation:
         "Matches the best servers at low rates; falters at very high rates \
@@ -86,148 +107,61 @@ let all =
         "Inactive connections hurt throughput at all request rates; scales \
          worse than thttpd with /dev/poll."
       ~kind:Experiment.Phhttpd ~inactive:501 ~label:"phhttpd i=501";
-    {
-      id = "fig14";
-      title = "Median connection time, 251 inactive connections";
-      paper_expectation =
+    rate_figure ~id:"fig14" ~title:"Median connection time, 251 inactive connections"
+      ~expectation:
         "phhttpd responds 1-3 ms faster than devpoll thttpd up to ~900 \
          req/s, then its median leaps by more than an order of magnitude \
          while thttpd+devpoll stays steady; normal poll sits well above \
-         both.";
-      chart = Median_latency;
-      series =
-        [
-          { label = "devpoll"; kind = devpoll; inactive = 251 };
-          { label = "normal poll"; kind = Experiment.Thttpd_poll; inactive = 251 };
-          { label = "phhttpd"; kind = Experiment.Phhttpd; inactive = 251 };
-        ];
-      rates = Sweep.paper_rates;
-    };
+         both."
+      ~chart:(Compare [ Report.Median_ms ])
+      [
+        ("devpoll", devpoll, 251);
+        ("normal poll", Experiment.Thttpd_poll, 251);
+        ("phhttpd", Experiment.Phhttpd, 251);
+      ];
     (* Extensions: the paper's Section 6 future work, measurable on the
        same axes. *)
-    {
-      id = "hybrid";
-      title = "Extension: hybrid RT-signal//dev/poll server, 501 inactive connections";
-      paper_expectation =
+    rate_figure ~id:"hybrid"
+      ~title:"Extension: hybrid RT-signal//dev/poll server, 501 inactive connections"
+      ~expectation:
         "The paper predicts a well-architected hybrid keeps RT-signal \
-         latency at low load without melting down at high load (Section 6).";
-      chart = Reply_rate;
-      series =
-        [
-          { label = "hybrid i=501"; kind = Experiment.Hybrid; inactive = 501 };
-          { label = "phhttpd i=501"; kind = Experiment.Phhttpd; inactive = 501 };
-          { label = "devpoll i=501"; kind = devpoll; inactive = 501 };
-        ];
-      rates = Sweep.paper_rates;
-    };
-    {
-      id = "hybrid-latency";
-      title = "Extension: hybrid latency vs the paper's servers, 251 inactive";
-      paper_expectation =
-        "A hybrid should match phhttpd's low-load latency and devpoll's \
-         stability under overload.";
-      chart = Median_latency;
-      series =
-        [
-          { label = "hybrid"; kind = Experiment.Hybrid; inactive = 251 };
-          { label = "devpoll"; kind = devpoll; inactive = 251 };
-          { label = "phhttpd"; kind = Experiment.Phhttpd; inactive = 251 };
-        ];
-      rates = Sweep.paper_rates;
-    };
-  ]
-
-let lineage =
-  {
-    id = "lineage";
-    title = "Beyond the paper: select -> poll -> /dev/poll -> epoll, 501 inactive";
-    paper_expectation =
-      "Not in the paper: the historical arc its work sits on. select and \
-       poll pay O(descriptors) per wait and collapse under idle load; \
-       /dev/poll pays O(interests) hint checks and erodes only at extreme \
-       rates; the epoll-style ready list pays O(ready) and stays flat.";
-    chart = Reply_rate;
-    series =
+         latency at low load without melting down at high load (Section 6)."
       [
-        { label = "select i=501"; kind = Experiment.Thttpd_select; inactive = 501 };
-        { label = "poll i=501"; kind = Experiment.Thttpd_poll; inactive = 501 };
-        { label = "devpoll i=501"; kind = devpoll; inactive = 501 };
-        {
-          label = "epoll i=501";
-          kind = Experiment.Thttpd_epoll { max_events = 64 };
-          inactive = 501;
-        };
+        ("hybrid i=501", Experiment.Hybrid, 501);
+        ("phhttpd i=501", Experiment.Phhttpd, 501);
+        ("devpoll i=501", devpoll, 501);
       ];
-    rates = Sweep.paper_rates;
-  }
-
-let all = all @ [ lineage ]
-
-let find id = List.find_opt (fun f -> String.equal f.id id) all
-let ids () = List.map (fun f -> f.id) all
-
-let run ?pool ?(scale = 0.2) ?rates ?(seed = 42) ?(on_point = fun ~label:_ _ -> ()) fig =
-  let rates = match rates with Some r -> r | None -> fig.rates in
-  List.map
-    (fun spec ->
-      let workload =
-        Workload.scaled
-          { Workload.default with Workload.inactive_connections = spec.inactive }
-          scale
-      in
-      let base =
-        { (Experiment.default_config ~kind:spec.kind ~workload) with Experiment.seed }
-      in
-      let points =
-        Sweep.run ?pool ~on_point:(fun p -> on_point ~label:spec.label p) ~base ~rates ()
-      in
-      { Report.label = spec.label; points })
-    fig.series
-
-let render ppf fig series =
-  Fmt.pf ppf "== %s: %s ==@." fig.id fig.title;
-  Fmt.pf ppf "paper: %s@.@." fig.paper_expectation;
-  List.iter (fun s -> Fmt.pf ppf "%a@." Report.pp_table s) series;
-  match fig.chart with
-  | Reply_rate -> Report.pp_reply_rate_chart ppf series
-  | Error_rate -> Report.pp_error_comparison ppf series
-  | Median_latency -> Report.pp_latency_comparison ppf series
+    rate_figure ~id:"hybrid-latency"
+      ~title:"Extension: hybrid latency vs the paper's servers, 251 inactive"
+      ~expectation:
+        "A hybrid should match phhttpd's low-load latency and devpoll's \
+         stability under overload."
+      ~chart:(Compare [ Report.Median_ms ])
+      [
+        ("hybrid", Experiment.Hybrid, 251);
+        ("devpoll", devpoll, 251);
+        ("phhttpd", Experiment.Phhttpd, 251);
+      ];
+    rate_figure ~id:"lineage"
+      ~title:"Beyond the paper: select -> poll -> /dev/poll -> epoll, 501 inactive"
+      ~expectation:
+        "Not in the paper: the historical arc its work sits on. select and \
+         poll pay O(descriptors) per wait and collapse under idle load; \
+         /dev/poll pays O(interests) hint checks and erodes only at extreme \
+         rates; the epoll-style ready list pays O(ready) and stays flat."
+      [
+        ("select i=501", Experiment.Thttpd_select, 501);
+        ("poll i=501", Experiment.Thttpd_poll, 501);
+        ("devpoll i=501", devpoll, 501);
+        ("epoll i=501", epoll, 501);
+      ];
+  ]
 
 (* The paper's 35 000-connection regime, previously host-prohibitive:
    with O(active) scan paths the host cost of a point scales with the
    request rate, not the open-set size, so sweeping the idle count to
    35k is cheap. The x axis is the idle-connection count at a fixed
    request rate; select is excluded (FD_SETSIZE caps it at 1024). *)
-type idle_scaling = {
-  is_id : string;
-  is_title : string;
-  is_expectation : string;
-  is_rate : int;  (** fixed request rate for every point *)
-  is_idles : int list;  (** the x axis *)
-  is_series : (string * Experiment.server_kind) list;
-}
-
-let idle_scaling =
-  {
-    is_id = "idle-scaling";
-    is_title = "Reply rate and median latency vs idle connections, 500 req/s";
-    is_expectation =
-      "poll degrades linearly in the idle count (every call scans the \
-       whole set); /dev/poll holds through the paper's 35 000-connection \
-       regime but its per-interest hint checks catch up with it on the \
-       way to 100k; the epoll-style ready list pays O(ready) per wait \
-       and stays flat out to a million idle connections, bounded only \
-       by kernel socket memory.";
-    is_rate = 500;
-    is_idles = [ 501; 2000; 10000; 35000; 100_000; 1_000_000 ];
-    is_series =
-      [
-        ("poll", Experiment.Thttpd_poll);
-        ("devpoll", devpoll);
-        ("epoll", Experiment.Thttpd_epoll { max_events = 64 });
-      ];
-  }
-
 (* Above the paper's 35 000-connection regime, stock parameters stop
    making sense: the default 500 ms connect window would mean a 2M
    SYN/s burst at a million idle, a refused connection retrying every
@@ -250,13 +184,8 @@ let poll_idle_cap = 35_000
 let devpoll_idle_cap = 100_000
 let mega_syn_rate = 2_500
 
-let idle_cap = function
-  | Experiment.Thttpd_select | Experiment.Thttpd_poll -> poll_idle_cap
-  | Experiment.Thttpd_devpoll _ | Experiment.Phhttpd | Experiment.Hybrid ->
-      devpoll_idle_cap
-  | Experiment.Thttpd_epoll _ -> Stdlib.max_int
-
-let idle_point_config ~kind ~seed ~rate idle =
+let idle_point_config ~kind ~scale:_ ~seed idle =
+  let rate = 500 in
   let mega = idle > poll_idle_cap in
   let open_window =
     if mega then Sio_sim.Time.ms (idle * 1000 / mega_syn_rate)
@@ -279,95 +208,57 @@ let idle_point_config ~kind ~seed ~rate idle =
     if mega then { thttpd with Sio_httpd.Thttpd.idle_timeout = Sio_sim.Time.s 7200 }
     else thttpd
   in
-  {
-    base with
-    Experiment.seed = Sio_sim.Rng.derive ~seed idle;
-    (* Room for the idle pool: descriptors, accept bursts (the pool
-       opens over the workload's connect window), and settle time to
-       let it all establish — for mega points the settle covers the
-       whole paced window plus the stock slack. *)
-    server_fd_limit = idle + 2048;
-    settle =
-      Sio_sim.Time.add
-        (Sio_sim.Time.s (2 + (idle / 5000)))
-        (if mega then open_window else Sio_sim.Time.zero);
-    thttpd;
-  }
+  Single
+    {
+      base with
+      Experiment.seed = Sio_sim.Rng.derive ~seed idle;
+      (* Room for the idle pool: descriptors, accept bursts (the pool
+         opens over the workload's connect window), and settle time to
+         let it all establish — for mega points the settle covers the
+         whole paced window plus the stock slack. *)
+      server_fd_limit = idle + 2048;
+      settle =
+        Sio_sim.Time.add
+          (Sio_sim.Time.s (2 + (idle / 5000)))
+          (if mega then open_window else Sio_sim.Time.zero);
+      thttpd;
+    }
 
-let run_idle_scaling ?pool ?idles ?(rate = idle_scaling.is_rate) ?(seed = 42)
-    ?(on_point = fun ~label:_ _ -> ()) () =
-  let idles = match idles with Some l -> l | None -> idle_scaling.is_idles in
-  List.map
-    (fun (label, kind) ->
-      (* Each mechanism climbs the axis only as far as its wait
-         complexity affords (see [idle_cap]); renderers pad the
-         missing cells with "-". *)
-      let idles =
-        let cap = idle_cap kind in
-        List.filter (fun i -> i <= cap) idles
-      in
-      let run_idle idle =
+let idle_scaling =
+  {
+    id = "idle-scaling";
+    title = "Reply rate and median latency vs idle connections, 500 req/s";
+    expectation =
+      "poll degrades linearly in the idle count (every call scans the \
+       whole set); /dev/poll holds through the paper's 35 000-connection \
+       regime but its per-interest hint checks catch up with it on the \
+       way to 100k; the epoll-style ready list pays O(ready) per wait \
+       and stays flat out to a million idle connections, bounded only \
+       by kernel socket memory.";
+    axis = "idle";
+    xs = [ 501; 2000; 10000; 35000; 100_000; 1_000_000 ];
+    series =
+      [
         {
-          Sweep.rate = idle;
-          outcome = Experiment.run (idle_point_config ~kind ~seed ~rate idle);
-        }
-      in
-      let points =
-        match pool with
-        | None ->
-            List.map
-              (fun idle ->
-                let p = run_idle idle in
-                on_point ~label p;
-                p)
-              idles
-        | Some pool ->
-            let ps = Sio_sim.Domain_pool.map pool ~f:run_idle idles in
-            List.iter (fun p -> on_point ~label p) ps;
-            ps
-      in
-      { Report.label; points })
-    idle_scaling.is_series
+          label = "poll";
+          cap = Some poll_idle_cap;
+          config = idle_point_config ~kind:Experiment.Thttpd_poll;
+        };
+        { label = "devpoll"; cap = Some devpoll_idle_cap; config = idle_point_config ~kind:devpoll };
+        { label = "epoll"; cap = None; config = idle_point_config ~kind:epoll };
+      ];
+    columns = Report.(reply_stats @ (Median_ms :: counts) @ [ Kernel_bytes ]);
+    chart = Compare [ Report.Avg; Report.Median_ms ];
+  }
 
 (* The data-plane figure: reply throughput vs response size for the
    four transmit paths, on the epoll server (the event layer out of
    the way, the send path is the bottleneck). The x axis is the
    response body size; each size gets its own offered rate, set above
    the copy path's capacity so the achieved rate reads as each mode's
-   capacity and the crossover is visible. *)
-type response_size = {
-  rs_id : string;
-  rs_title : string;
-  rs_expectation : string;
-  rs_sizes : int list;  (** the x axis: response body bytes *)
-  rs_series : (string * Sio_httpd.Conn.transmit) list;
-}
+   capacity and the crossover is visible.
 
-let response_size =
-  {
-    rs_id = "response-size";
-    rs_title =
-      "Reply throughput vs response size: copy vs sendfile vs ring vs \
-       selective (epoll, 1 inactive)";
-    rs_expectation =
-      "At 1 KB the fixed ring costs (attach mmap, whole pages charged \
-       for partial fills) make copy the cheapest path; by 4 KB the \
-       ring's ~7.3 ns/byte amortized page cost undercuts sendfile's 12 \
-       and copy's 25 and the curves cross; at 256 KB-1 MB the ring \
-       paths sustain several times copy's throughput and stream \
-       multi-buffer responses with zero errors. Selective tracks ring \
-       to within the per-response header copy.";
-    rs_sizes = [ 1024; 4096; 16384; 65536; 262144; 1_048_576 ];
-    rs_series =
-      [
-        ("copy", Sio_httpd.Conn.Copy);
-        ("sendfile", Sio_httpd.Conn.Sendfile);
-        ("ring", Sio_httpd.Conn.Ring);
-        ("selective", Sio_httpd.Conn.Selective);
-      ];
-  }
-
-(* Offered rate per body size: above the copy path's capacity at that
+   Offered rate per body size: above the copy path's capacity at that
    size (so achieved rate = capacity, mode differences show), while
    leaving the ring paths headroom at 1 MB so streaming completes with
    zero errors (the acceptance criterion for multi-buffer sends). *)
@@ -379,7 +270,7 @@ let response_size_rate body_bytes =
   else if body_bytes <= 262_144 then 300
   else 70
 
-let response_size_point_config ~transmit ~seed ~scale body_bytes =
+let response_size_point_config ~transmit ~scale ~seed body_bytes =
   let rate = response_size_rate body_bytes in
   let workload =
     Workload.scaled
@@ -399,99 +290,46 @@ let response_size_point_config ~transmit ~seed ~scale body_bytes =
       }
       scale
   in
-  let base = Experiment.default_config ~kind:(Experiment.Thttpd_epoll { max_events = 64 }) ~workload in
+  let base = Experiment.default_config ~kind:epoll ~workload in
+  Single
+    {
+      base with
+      Experiment.seed = Sio_sim.Rng.derive ~seed body_bytes;
+      transmit;
+      (* Room for the SYNs that pile up behind the one-time cold read:
+         the stock 128 backlog overflows during a 2.3 s stall at 70/s. *)
+      thttpd = { base.Experiment.thttpd with Sio_httpd.Thttpd.backlog = 4096 };
+      (* 100 Mbit/s (the paper's testbed) caps 1 MB responses at ~12/s,
+         hiding the CPU crossover behind the wire; a gigabit link keeps
+         every point CPU-bound. *)
+      net_bandwidth_bits_per_sec = Some 1_000_000_000;
+    }
+
+let response_size =
   {
-    base with
-    Experiment.seed = Sio_sim.Rng.derive ~seed body_bytes;
-    transmit;
-    (* Room for the SYNs that pile up behind the one-time cold read:
-       the stock 128 backlog overflows during a 2.3 s stall at 70/s. *)
-    thttpd = { base.Experiment.thttpd with Sio_httpd.Thttpd.backlog = 4096 };
-    (* 100 Mbit/s (the paper's testbed) caps 1 MB responses at ~12/s,
-       hiding the CPU crossover behind the wire; a gigabit link keeps
-       every point CPU-bound. *)
-    net_bandwidth_bits_per_sec = Some 1_000_000_000;
+    id = "response-size";
+    title =
+      "Reply throughput vs response size: copy vs sendfile vs ring vs \
+       selective (epoll, 1 inactive)";
+    expectation =
+      "At 1 KB the fixed ring costs (attach mmap, whole pages charged \
+       for partial fills) make copy the cheapest path; by 4 KB the \
+       ring's ~7.3 ns/byte amortized page cost undercuts sendfile's 12 \
+       and copy's 25 and the curves cross; at 256 KB-1 MB the ring \
+       paths sustain several times copy's throughput and stream \
+       multi-buffer responses with zero errors. Selective tracks ring \
+       to within the per-response header copy.";
+    axis = "body_bytes";
+    xs = [ 1024; 4096; 16384; 65536; 262144; 1_048_576 ];
+    series =
+      List.map
+        (fun (label, transmit) ->
+          { label; cap = None; config = response_size_point_config ~transmit })
+        Sio_httpd.Conn.
+          [ ("copy", Copy); ("sendfile", Sendfile); ("ring", Ring); ("selective", Selective) ];
+    columns = Report.(reply_stats @ (Median_ms :: counts) @ [ Mbit_s ]);
+    chart = Compare [ Report.Avg; Report.Mbit_s ];
   }
-
-let run_response_size ?pool ?sizes ?(scale = 0.2) ?(seed = 42)
-    ?(on_point = fun ~label:_ _ -> ()) () =
-  let sizes = match sizes with Some l -> l | None -> response_size.rs_sizes in
-  List.map
-    (fun (label, transmit) ->
-      let run_size body =
-        {
-          Sweep.rate = body;
-          outcome =
-            Experiment.run (response_size_point_config ~transmit ~seed ~scale body);
-        }
-      in
-      let points =
-        match pool with
-        | None ->
-            List.map
-              (fun body ->
-                let p = run_size body in
-                on_point ~label p;
-                p)
-              sizes
-        | Some pool ->
-            let ps = Sio_sim.Domain_pool.map pool ~f:run_size sizes in
-            List.iter (fun p -> on_point ~label p) ps;
-            ps
-      in
-      { Report.label; points })
-    response_size.rs_series
-
-let render_response_size ppf series =
-  let f = response_size in
-  Fmt.pf ppf "== %s: %s ==@." f.rs_id f.rs_title;
-  Fmt.pf ppf "expected: %s@.@." f.rs_expectation;
-  let mbit_s p =
-    let m = p.Sweep.outcome.Experiment.metrics in
-    let wire = Sio_httpd.Http.response_bytes ~body_bytes:p.Sweep.rate in
-    m.Metrics.reply_rate_avg *. float_of_int wire *. 8. /. 1e6
-  in
-  List.iter
-    (fun s ->
-      Fmt.pf ppf "%s@." s.Report.label;
-      Fmt.pf ppf
-        "    body       avg        sd       min       max     err%%  median_ms     Mbit/s@.";
-      List.iter
-        (fun p ->
-          let m = p.Sweep.outcome.Experiment.metrics in
-          Fmt.pf ppf "%8d  %8.1f  %8.1f  %8.1f  %8.1f  %7.2f  %9.2f  %9.1f@."
-            p.Sweep.rate m.Metrics.reply_rate_avg m.Metrics.reply_rate_sd
-            m.Metrics.reply_rate_min m.Metrics.reply_rate_max m.Metrics.error_percent
-            (Metrics.median_latency_ms m) (mbit_s p))
-        s.points;
-      Fmt.pf ppf "@.")
-    series;
-  (* Column comparisons on the shared x axis: body size down, one
-     transmit path per column. *)
-  let columns pick unit_label =
-    Fmt.pf ppf "    body";
-    List.iter (fun s -> Fmt.pf ppf "  %12s" s.Report.label) series;
-    Fmt.pf ppf "    (%s)@." unit_label;
-    match series with
-    | [] -> ()
-    | first :: _ ->
-        List.iteri
-          (fun i p0 ->
-            Fmt.pf ppf "%8d" p0.Sweep.rate;
-            List.iter
-              (fun s ->
-                match List.nth_opt s.Report.points i with
-                | Some p -> Fmt.pf ppf "  %12.1f" (pick p)
-                | None -> Fmt.pf ppf "  %12s" "-")
-              series;
-            Fmt.pf ppf "@.")
-          first.Report.points
-  in
-  columns
-    (fun p -> p.Sweep.outcome.Experiment.metrics.Metrics.reply_rate_avg)
-    "avg replies/s; offered rate varies per size";
-  Fmt.pf ppf "@.";
-  columns mbit_s "achieved wire throughput, Mbit/s"
 
 (* The multi-core figure: aggregate reply rate and latency tails vs
    shard count, for an N-shard SO_REUSEPORT-style cluster of each
@@ -499,67 +337,19 @@ let render_response_size ppf series =
    shard's capacity, so the achieved rate reads as cluster capacity
    and the curve shows how each mechanism converts shards into
    throughput under a large shared idle population. *)
-type shard_scaling = {
-  ss_id : string;
-  ss_title : string;
-  ss_expectation : string;
-  ss_rate : int;  (** aggregate offered rate, all points *)
-  ss_idle : int;  (** aggregate idle population, split across shards *)
-  ss_shards : int list;  (** the x axis *)
-  ss_series : (string * Experiment.server_kind) list;
-  ss_ablation_policies : Sio_httpd.Shard_cluster.policy list;
-  ss_ablation_population : Sio_httpd.Shard_cluster.population;
-      (** the skewed client world where steering policy matters *)
-}
+let shard_rate = 6400
+let shard_idle = 10_000
 
-let shard_scaling =
-  {
-    ss_id = "shard-scaling";
-    ss_title =
-      "Aggregate reply rate and latency vs shard count, 6400 req/s \
-       offered, 10000 idle connections";
-    ss_expectation =
-      "Each doubling of shards doubles epoll's aggregate reply rate \
-       until the offered rate is met (4 shards recover >= 3x a single \
-       shard; 8 shards meet the offered load): shards split both the \
-       request stream and the idle population, and an O(ready) wait \
-       path leaves the extra CPU to the data plane. /dev/poll tracks \
-       epoll but keeps paying per-interest hint checks over its idle \
-       slice; poll still scans its whole shard per wait, so even 8 \
-       shards of it stay far below the offered rate. The steering \
-       ablation runs the epoll cluster against a Zipf-skewed client \
-       population: tuple-hashing polarizes (the head tuples pin to one \
-       shard, capping the cluster near that shard's capacity) while \
-       round-robin and least-loaded stay within a few percent of the \
-       uniform-steering cluster.";
-    ss_rate = 6400;
-    ss_idle = 10_000;
-    ss_shards = [ 1; 2; 4; 8 ];
-    ss_series =
-      [
-        ("poll", Experiment.Thttpd_poll);
-        ("devpoll", devpoll);
-        ("epoll", Experiment.Thttpd_epoll { max_events = 64 });
-      ];
-    ss_ablation_policies =
-      Sio_httpd.Shard_cluster.[ Hash_tuple; Round_robin; Least_loaded ];
-    (* 64 client endpoints with Zipf(1.2) popularity: the head tuple
-       alone carries ~29% of connections, so hashing pins over a
-       quarter of the offered load to a single shard. *)
-    ss_ablation_population = { Sio_httpd.Shard_cluster.tuples = 64; skew = 1.2 };
-  }
-
-let shard_cluster_config ~kind ~policy ~population ~shards ~seed ~scale =
-  let f = shard_scaling in
+let shard_cluster_config ~kind ~policy ~population ~scale ~seed shards =
   let total =
-    Stdlib.max 400 (int_of_float (float_of_int (25 * f.ss_rate) *. scale))
+    Stdlib.max 400 (int_of_float (float_of_int (25 * shard_rate) *. scale))
   in
   let workload =
     {
       Workload.default with
-      Workload.request_rate = f.ss_rate;
+      Workload.request_rate = shard_rate;
       total_connections = total;
-      inactive_connections = f.ss_idle;
+      inactive_connections = shard_idle;
     }
   in
   let base = Experiment.default_config ~kind ~workload in
@@ -571,186 +361,172 @@ let shard_cluster_config ~kind ~policy ~population ~shards ~seed ~scale =
       Experiment.seed = Sio_sim.Rng.derive ~seed (0x5ca1e + shards);
       (* Room for each shard's idle slice plus the overload backlog of
          accepted-but-unserviced connections. *)
-      server_fd_limit = f.ss_idle + 8192;
-      settle = Sio_sim.Time.s (2 + (f.ss_idle / 5000));
+      server_fd_limit = shard_idle + 8192;
+      settle = Sio_sim.Time.s (2 + (shard_idle / 5000));
       thttpd = { base.Experiment.thttpd with Sio_httpd.Thttpd.backlog = 4096 };
     }
   in
+  Cluster { Cluster.base; shards; policy; population; mem_mode = Cluster.Partitioned }
+
+let shard_figure ~id ~title ~expectation series =
   {
-    Cluster.base;
-    shards;
-    policy;
-    population;
-    mem_mode = Cluster.Partitioned;
+    id;
+    title;
+    expectation;
+    axis = "shards";
+    xs = [ 1; 2; 4; 8 ];
+    series =
+      List.map
+        (fun (label, kind, policy, population) ->
+          { label; cap = None; config = shard_cluster_config ~kind ~policy ~population })
+        series;
+    columns = Report.(reply_stats @ [ P50_ms; P99_ms ] @ counts);
+    chart = Compare [ Report.Avg; Report.P99_ms ];
   }
 
-let run_shard_series ?pool ~shards ~on_point ~label mk_config =
-  let run_point n =
-    { Sweep.rate = n; outcome = (Cluster.run (mk_config n)).Cluster.merged }
+let shard_scaling =
+  let uniform kind label =
+    (label, kind, Sio_httpd.Shard_cluster.Hash_tuple, Sio_httpd.Shard_cluster.uniform_population)
   in
+  shard_figure ~id:"shard-scaling"
+    ~title:
+      "Aggregate reply rate and latency vs shard count, 6400 req/s \
+       offered, 10000 idle connections"
+    ~expectation:
+      "Each doubling of shards doubles epoll's aggregate reply rate \
+       until the offered rate is met (4 shards recover >= 3x a single \
+       shard; 8 shards meet the offered load): shards split both the \
+       request stream and the idle population, and an O(ready) wait \
+       path leaves the extra CPU to the data plane. /dev/poll tracks \
+       epoll but keeps paying per-interest hint checks over its idle \
+       slice; poll still scans its whole shard per wait, so even 8 \
+       shards of it stay far below the offered rate."
+    [
+      uniform Experiment.Thttpd_poll "poll";
+      uniform devpoll "devpoll";
+      uniform epoll "epoll";
+    ]
+
+(* 64 client endpoints with Zipf(1.2) popularity: the head tuple alone
+   carries ~29% of connections, so hashing pins over a quarter of the
+   offered load to a single shard. *)
+let shard_ablation =
+  let skewed = { Sio_httpd.Shard_cluster.tuples = 64; skew = 1.2 } in
+  shard_figure ~id:"shard-ablation"
+    ~title:
+      "Steering ablation: epoll shards, Zipf(1.2) over 64 client tuples, \
+       6400 req/s offered, 10000 idle connections"
+    ~expectation:
+      "Tuple-hashing polarizes (the head tuples pin to one shard, \
+       capping the cluster near that shard's capacity) while \
+       round-robin and least-loaded stay within a few percent of the \
+       uniform-steering cluster."
+    (List.map
+       (fun policy ->
+         (Sio_httpd.Shard_cluster.policy_name policy, epoll, policy, skewed))
+       Sio_httpd.Shard_cluster.[ Hash_tuple; Round_robin; Least_loaded ])
+
+let heavy = [ idle_scaling; response_size; shard_scaling ]
+let find id = List.find_opt (fun f -> String.equal f.id id) (all @ heavy)
+let ids () = List.map (fun f -> f.id) (all @ heavy)
+
+let series_xs ?xs fig s =
+  let xs = Option.value xs ~default:fig.xs in
+  match s.cap with None -> xs | Some cap -> List.filter (fun x -> x <= cap) xs
+
+let point_count ?xs fig =
+  List.fold_left (fun n s -> n + List.length (series_xs ?xs fig s)) 0 fig.series
+
+(* A cluster point runs its shards sequentially: it may itself be a
+   Domain_pool task, and pool tasks must not nest. *)
+let run_config = function
+  | Single c -> Experiment.run c
+  | Cluster c -> (Cluster.run c).Cluster.merged
+
+let run ?pool ?(scale = 0.2) ?(seed = 42) ?xs ?(on_point = fun ~label:_ _ -> ()) fig =
+  (* Every (series, x) point is built and seed-checked up front, then
+     all of them run as one flat list: one pool map for the whole
+     figure. Each point owns its engine and seed, so the parallel run
+     is bit-for-bit the sequential one. *)
+  let tasks =
+    List.concat_map
+      (fun s ->
+        let tasks = List.map (fun x -> (s.label, x, s.config ~scale ~seed x)) (series_xs ?xs fig s) in
+        Sweep.check_seeds_unique
+          ~what:(Printf.sprintf "Figures.run %s/%s" fig.id s.label)
+          (List.map
+             (function
+               | _, x, Single c -> (x, c.Experiment.seed)
+               | _, x, Cluster c -> (x, c.Cluster.base.Experiment.seed))
+             tasks);
+        tasks)
+      fig.series
+  in
+  let run_point (_, x, c) = { Sweep.x; outcome = run_config c } in
   let points =
     match pool with
     | None ->
         List.map
-          (fun n ->
-            let p = run_point n in
+          (fun ((label, _, _) as task) ->
+            let p = run_point task in
             on_point ~label p;
             p)
-          shards
+          tasks
     | Some pool ->
-        (* Points in parallel, the shards of each point sequential:
-           Domain_pool tasks must not nest. *)
-        let ps = Sio_sim.Domain_pool.map pool ~f:run_point shards in
-        List.iter (fun p -> on_point ~label p) ps;
+        (* map restores input order; on_point fires in that order only
+           after all points landed. *)
+        let ps = Sio_sim.Domain_pool.map pool ~f:run_point tasks in
+        List.iter2 (fun (label, _, _) p -> on_point ~label p) tasks ps;
         ps
   in
-  { Report.label; points }
-
-let run_shard_scaling ?pool ?shards ?(scale = 0.2) ?(seed = 42)
-    ?(on_point = fun ~label:_ _ -> ()) () =
-  let f = shard_scaling in
-  let shards = match shards with Some l -> l | None -> f.ss_shards in
+  let labelled = List.combine tasks points in
   List.map
-    (fun (label, kind) ->
-      run_shard_series ?pool ~shards ~on_point ~label (fun n ->
-          shard_cluster_config ~kind
-            ~policy:Sio_httpd.Shard_cluster.Hash_tuple
-            ~population:Sio_httpd.Shard_cluster.uniform_population ~shards:n
-            ~seed ~scale))
-    f.ss_series
-
-let run_shard_ablation ?pool ?shards ?(scale = 0.2) ?(seed = 42)
-    ?(on_point = fun ~label:_ _ -> ()) () =
-  let f = shard_scaling in
-  let shards = match shards with Some l -> l | None -> f.ss_shards in
-  let kind = Experiment.Thttpd_epoll { max_events = 64 } in
-  List.map
-    (fun policy ->
-      let label = Sio_httpd.Shard_cluster.policy_name policy in
-      run_shard_series ?pool ~shards ~on_point ~label (fun n ->
-          shard_cluster_config ~kind ~policy
-            ~population:f.ss_ablation_population ~shards:n ~seed ~scale))
-    f.ss_ablation_policies
-
-let percentile_ms m p =
-  if Sio_sim.Histogram.count m.Metrics.latency = 0 then 0.
-  else Sio_sim.Time.to_ms_f (Sio_sim.Histogram.percentile m.Metrics.latency p)
-
-let render_shard_tables ppf series =
-  List.iter
     (fun s ->
-      Fmt.pf ppf "%s@." s.Report.label;
-      Fmt.pf ppf
-        "  shards       avg        sd       min       max     err%%     p50_ms     p99_ms@.";
-      List.iter
-        (fun p ->
-          let m = p.Sweep.outcome.Experiment.metrics in
-          Fmt.pf ppf "%8d  %8.1f  %8.1f  %8.1f  %8.1f  %7.2f  %9.2f  %9.2f@."
-            p.Sweep.rate m.Metrics.reply_rate_avg m.Metrics.reply_rate_sd
-            m.Metrics.reply_rate_min m.Metrics.reply_rate_max
-            m.Metrics.error_percent (percentile_ms m 50.) (percentile_ms m 99.))
-        s.points;
-      Fmt.pf ppf "@.")
-    series
+      let mine ((label, _, _), p) = if String.equal label s.label then Some p else None in
+      { Report.label = s.label; points = List.filter_map mine labelled })
+    fig.series
 
-let render_shard_columns ppf series =
-  let columns pick unit_label =
-    Fmt.pf ppf "  shards";
-    List.iter (fun s -> Fmt.pf ppf "  %14s" s.Report.label) series;
-    Fmt.pf ppf "    (%s)@." unit_label;
-    match series with
-    | [] -> ()
-    | first :: _ ->
-        List.iteri
-          (fun i p0 ->
-            Fmt.pf ppf "%8d" p0.Sweep.rate;
-            List.iter
-              (fun s ->
-                match List.nth_opt s.Report.points i with
-                | Some p ->
-                    Fmt.pf ppf "  %14.1f" (pick p.Sweep.outcome.Experiment.metrics)
-                | None -> Fmt.pf ppf "  %14s" "-")
-              series;
-            Fmt.pf ppf "@.")
-          first.Report.points
-  in
-  columns
-    (fun m -> m.Metrics.reply_rate_avg)
-    (Printf.sprintf "aggregate reply rate /s at %d req/s offered"
-       shard_scaling.ss_rate);
-  Fmt.pf ppf "@.";
-  columns (fun m -> percentile_ms m 99.) "p99 connection time, ms"
+let render ppf fig series =
+  Fmt.pf ppf "== %s: %s ==@." fig.id fig.title;
+  Fmt.pf ppf "%s: %s@.@."
+    (if String.equal fig.axis "rate" then "paper" else "expected")
+    fig.expectation;
+  List.iter (fun s -> Fmt.pf ppf "%a@." (Report.pp_table ~axis:fig.axis fig.columns) s) series;
+  match fig.chart with
+  | Reply_rate -> Report.pp_reply_rate_chart ppf series
+  | Compare columns ->
+      List.iteri
+        (fun i col ->
+          if i > 0 then Fmt.pf ppf "@.";
+          Report.pp_comparison ~axis:fig.axis col ppf series)
+        columns
 
-let render_shard_scaling ppf ~main ~ablation =
-  let f = shard_scaling in
-  Fmt.pf ppf "== %s: %s ==@." f.ss_id f.ss_title;
-  Fmt.pf ppf "expected: %s@.@." f.ss_expectation;
-  render_shard_tables ppf main;
-  render_shard_columns ppf main;
-  Fmt.pf ppf "@.";
-  Fmt.pf ppf
-    "-- steering ablation: epoll shards, Zipf(%.1f) over %d client tuples --@.@."
-    f.ss_ablation_population.Sio_httpd.Shard_cluster.skew
-    f.ss_ablation_population.Sio_httpd.Shard_cluster.tuples;
-  render_shard_tables ppf ablation;
-  render_shard_columns ppf ablation
-
-let render_idle_scaling ppf series =
-  let f = idle_scaling in
-  Fmt.pf ppf "== %s: %s ==@." f.is_id f.is_title;
-  Fmt.pf ppf "expected: %s@.@." f.is_expectation;
-  List.iter
-    (fun s ->
-      Fmt.pf ppf "%s@." s.Report.label;
-      Fmt.pf ppf
-        "  idle       avg        sd       min       max     err%%  median_ms  kernel_MB@.";
-      List.iter
-        (fun p ->
-          let m = p.Sweep.outcome.Experiment.metrics in
-          Fmt.pf ppf "%6d  %8.1f  %8.1f  %8.1f  %8.1f  %7.2f  %9.2f  %9.1f@."
-            p.Sweep.rate m.Metrics.reply_rate_avg m.Metrics.reply_rate_sd
-            m.Metrics.reply_rate_min m.Metrics.reply_rate_max m.Metrics.error_percent
-            (Metrics.median_latency_ms m)
-            (float_of_int p.Sweep.outcome.Experiment.kernel_mem_peak /. 1048576.))
-        s.points;
-      Fmt.pf ppf "@.")
+(* The JSON sidecar: every CSV column plus the run's context, including
+   the measuring host's RSS — nondeterministic, hence JSON only, never
+   in a CSV or fingerprint. *)
+let json ~seed ~scale fig series =
+  let buf = Buffer.create 1024 in
+  let add fmt = Printf.bprintf buf fmt in
+  add "{\n  \"figure\": %S,\n  \"axis\": %S,\n  \"seed\": %d,\n  \"scale\": %g,\n"
+    fig.id fig.axis seed scale;
+  add "  \"series\": [\n";
+  List.iteri
+    (fun si s ->
+      add "    {\n      \"label\": %S,\n      \"points\": [\n" s.Report.label;
+      List.iteri
+        (fun pi p ->
+          let o = p.Sweep.outcome in
+          let st = o.Experiment.server_stats in
+          add "        {%S: %d, \"offered_rate\": %d" fig.axis p.Sweep.x
+            o.Experiment.metrics.Metrics.target_rate;
+          List.iter (fun c -> add ", %S: %s" (Report.column_name c) (Report.cell c p)) fig.columns;
+          add
+            ", \"partial_writes\": %d, \"bytes_sent\": %d, \"kernel_mem_peak_bytes\": %d, \"host_rss_bytes\": %d}%s\n"
+            st.Sio_httpd.Server_stats.partial_writes st.Sio_httpd.Server_stats.bytes_sent
+            o.Experiment.kernel_mem_peak o.Experiment.host_rss_bytes
+            (if pi = List.length s.Report.points - 1 then "" else ","))
+        s.Report.points;
+      add "      ]\n    }%s\n" (if si = List.length series - 1 then "" else ","))
     series;
-  (* Column comparisons on the shared x axis: idle count down, one
-     mechanism per column. *)
-  let columns pick unit_label =
-    Fmt.pf ppf "  idle";
-    List.iter (fun s -> Fmt.pf ppf "  %18s" s.Report.label) series;
-    Fmt.pf ppf "    (%s)@." unit_label;
-    (* Drive the rows from the series with the most points: the poll
-       series stops at [poll_idle_cap], so the first series may be a
-       strict prefix of the shared x axis. *)
-    let longest =
-      List.fold_left
-        (fun acc s ->
-          match acc with
-          | Some best
-            when List.length best.Report.points >= List.length s.Report.points ->
-              acc
-          | _ -> Some s)
-        None series
-    in
-    match longest with
-    | None -> ()
-    | Some longest ->
-        List.iteri
-          (fun i p0 ->
-            Fmt.pf ppf "%6d" p0.Sweep.rate;
-            List.iter
-              (fun s ->
-                match List.nth_opt s.Report.points i with
-                | Some p -> Fmt.pf ppf "  %18.2f" (pick p.Sweep.outcome.Experiment.metrics)
-                | None -> Fmt.pf ppf "  %18s" "-")
-              series;
-            Fmt.pf ppf "@.")
-          longest.Report.points
-  in
-  columns
-    (fun m -> m.Metrics.reply_rate_avg)
-    (Printf.sprintf "avg reply rate /s at %d req/s offered" f.is_rate);
-  Fmt.pf ppf "@.";
-  columns (fun m -> Metrics.median_latency_ms m) "median connection time, ms"
+  add "  ]\n}\n";
+  Buffer.contents buf

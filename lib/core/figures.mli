@@ -1,208 +1,135 @@
-(** The paper's evaluation, figure by figure.
+(** The paper's evaluation, figure by figure, and the post-paper
+    figures on other axes.
 
-    Each value describes one figure of Provos & Lever (2000): which
-    server(s), how many inactive connections, which quantity is
-    plotted, and what the paper's graph shows — so the harness can
-    print measured-vs-expected side by side. Figures 4-14 are the
-    complete evaluation section; the extension entries exercise the
-    paper's future-work ideas on the same axes. *)
+    Every figure is one specification: an x axis and its values, a few
+    series (each a label and a point builder), the CSV columns and the
+    chart. One runner ({!run}), one renderer ({!render}), one CSV
+    writer ({!Sio_loadgen.Report.csv_of_series}) and one JSON sidecar
+    writer ({!json}) serve them all, so the harness prints
+    measured-vs-expected side by side whatever the axis. Figures 4-14
+    are the complete evaluation section; the extension entries exercise
+    the paper's future-work ideas on the same axes. *)
 
 open Sio_loadgen
 
-type chart = Reply_rate | Error_rate | Median_latency
+(** What one point simulates: a single server, or an N-shard cluster
+    whose merged outcome is the point. *)
+type config = Single of Experiment.config | Cluster of Cluster.config
 
-type series_spec = {
+type series = {
   label : string;
-  kind : Experiment.server_kind;
-  inactive : int;
+  cap : int option;
+      (** largest x this series runs; a mechanism stops where its wait
+          complexity stops being affordable on the host, and renderers
+          pad the missing cells with ["-"] *)
+  config : scale:float -> seed:int -> int -> config;
+      (** the point at one x value; its seed must differ from every
+          other x's (checked before anything runs) *)
 }
+
+type chart =
+  | Reply_rate  (** ASCII reply rate vs target rate (rate axis only) *)
+  | Compare of Report.column list
+      (** each column, every series side by side per x value *)
 
 type t = {
   id : string;  (** e.g. "fig4" *)
   title : string;
-  paper_expectation : string;
-      (** what the corresponding graph in the paper shows *)
+  expectation : string;
+      (** what the corresponding graph in the paper shows, or what a
+          post-paper figure is expected to show *)
+  axis : string;  (** the x quantity: "rate", "idle", "body_bytes", ... *)
+  xs : int list;  (** the default x values *)
+  series : series list;
+  columns : Report.column list;  (** CSV columns after the x value *)
   chart : chart;
-  series : series_spec list;
-  rates : int list;
 }
 
 val all : t list
-(** Figures 4-14 plus the extension experiments, in order. *)
+(** Figures 4-14 plus the rate-axis extension experiments, in order:
+    what [sio_figures all] runs. *)
 
-val find : string -> t option
-val ids : unit -> string list
+val heavy : t list
+(** idle-scaling, response-size and shard-scaling: listed in the
+    catalogue but, being heavier, run only when named. *)
 
-val run :
-  ?pool:Sio_sim.Domain_pool.t ->
-  ?scale:float ->
-  ?rates:int list ->
-  ?seed:int ->
-  ?on_point:(label:string -> Sweep.point -> unit) ->
-  t ->
-  Report.series list
-(** Executes every series of the figure. [scale] multiplies the
-    paper's 35 000 connections per point (default 0.2, which keeps a
-    full figure under a minute; use 1.0 for the paper's exact
-    procedure). With [pool], the points of each series run in
-    parallel on the pool's domains with bit-identical results (see
-    {!Sweep.run}); [on_point] then fires per series in rate order
-    once that series completes. *)
+val idle_scaling : t
+(** Reply rate and median latency vs {e idle-connection count} at
+    500 req/s, out to the paper's 35 000-connection regime and beyond
+    (100k, 1M) — feasible on the host only because every scan path is
+    O(active) and per-connection state lives in the compact arena.
+    poll stops at 35 000 idle (past it a single O(idle)-per-wait point
+    would dominate the sweep's host time); /dev/poll stops at 100 000,
+    where its per-interest hint checks have saturated the modeled CPU.
+    Counts above 35 000 pace the idle pool's connects at ~2.5k SYN/s,
+    slow its retry timer, and disable the server's idle sweep for the
+    run (the mega-idle regime). Ignores [scale]. *)
 
-val render : Format.formatter -> t -> Report.series list -> unit
-(** Tables plus the chart appropriate to the figure, prefixed by the
-    paper's expectation. *)
-
-(** {1 The idle-scaling figure}
-
-    Not one of the paper's numbered figures: reply rate and median
-    latency vs {e idle-connection count} at a fixed request rate, out
-    to the paper's 35 000-connection regime and beyond (100k, 1M) —
-    feasible on the host only because every scan path is O(active)
-    and per-connection state lives in the compact arena. *)
-
-type idle_scaling = {
-  is_id : string;
-  is_title : string;
-  is_expectation : string;
-  is_rate : int;  (** fixed request rate for every point *)
-  is_idles : int list;
-      (** the x axis: {501, 2000, 10000, 35000, 100000, 1000000} *)
-  is_series : (string * Experiment.server_kind) list;
-      (** poll, /dev/poll, epoll (select is FD_SETSIZE-bound) *)
-}
-
-val idle_scaling : idle_scaling
-
-val poll_idle_cap : int
-(** Largest idle count the stock-poll series runs (35 000), and the
-    threshold above which [run_idle_scaling] switches to the mega-idle
-    regime (paced connects, slow retries, idle sweep pushed past the
-    horizon). Past it a single O(idle)-per-wait poll point would
-    dominate the whole sweep's host time. *)
-
-val devpoll_idle_cap : int
-(** Largest idle count the /dev/poll series runs (100 000): its
-    per-interest hint checks saturate the host's modeled CPU around
-    80k interests, so the 100k point displays the breakdown and the
-    series stops there. Renderers pad missing cells with ["-"]. *)
-
-val run_idle_scaling :
-  ?pool:Sio_sim.Domain_pool.t ->
-  ?idles:int list ->
-  ?rate:int ->
-  ?seed:int ->
-  ?on_point:(label:string -> Sweep.point -> unit) ->
-  unit ->
-  Report.series list
-(** One series per mechanism; each point's [Sweep.rate] field carries
-    the idle count (the series' x axis). Each series skips idle counts
-    above its mechanism's cap ([poll_idle_cap], [devpoll_idle_cap];
-    epoll runs the full axis). Counts above [poll_idle_cap] also pace
-    the idle pool's connects at ~2.5k SYN/s, slow its retry timer, and
-    disable the server's idle sweep for the run (the mega-idle
-    regime). Deterministic in [seed]; [pool] parallelizes over idle
-    counts with bit-identical results. *)
-
-val render_idle_scaling : Format.formatter -> Report.series list -> unit
-
-(** {1 The response-size figure}
-
-    The data-plane companion to the event-notification figures: reply
+val response_size : t
+(** The data-plane companion to the event-notification figures: reply
     throughput (and wire Mbit/s) vs {e response body size} for the four
     transmit paths — write() copies, sendfile, the shared transmit
     ring, and selective header-copy/body-map — on the epoll server,
     where the event layer is out of the way and the send path is the
-    bottleneck. The headline is the crossover: copy wins at 1 KB (the
-    ring pays its attach and whole-page costs regardless of fill), the
-    ring paths win from a few KB up. *)
+    bottleneck. Each size has its own offered rate, above the copy
+    path's capacity at that size but leaving the ring paths headroom
+    at 1 MB. Every point runs on a 1 Gbit/s modeled link so large
+    responses stay CPU-bound. *)
 
-type response_size = {
-  rs_id : string;
-  rs_title : string;
-  rs_expectation : string;
-  rs_sizes : int list;
-      (** the x axis: {1 KB, 4 KB, 16 KB, 64 KB, 256 KB, 1 MB} *)
-  rs_series : (string * Sio_httpd.Conn.transmit) list;
-      (** copy, sendfile, ring, selective *)
-}
-
-val response_size : response_size
-
-val response_size_rate : int -> int
-(** Offered request rate for a given body size: above the copy path's
-    capacity at that size (so the achieved rate reads as each mode's
-    capacity) while leaving the ring paths headroom at 1 MB so
-    multi-buffer streaming completes with zero errors. *)
-
-val run_response_size :
-  ?pool:Sio_sim.Domain_pool.t ->
-  ?sizes:int list ->
-  ?scale:float ->
-  ?seed:int ->
-  ?on_point:(label:string -> Sweep.point -> unit) ->
-  unit ->
-  Report.series list
-(** One series per transmit path; each point's [Sweep.rate] field
-    carries the response body size (the x axis). Every point runs on a
-    1 Gbit/s modeled link so large responses stay CPU-bound.
-    Deterministic in [seed]; [pool] parallelizes over sizes with
-    bit-identical results. *)
-
-val render_response_size : Format.formatter -> Report.series list -> unit
-
-(** {1 The shard-scaling figure}
-
-    The multi-core figure: aggregate reply rate and latency tails vs
+val shard_scaling : t
+(** The multi-core figure: aggregate reply rate and latency tails vs
     {e shard count} for an N-shard SO_REUSEPORT-style cluster
-    ({!Sio_loadgen.Cluster}) of each event mechanism, at a fixed
-    offered rate well above one shard's capacity and with a large
-    idle population split across shards. A steering-policy ablation
-    runs the epoll cluster against a Zipf-skewed client population,
-    where tuple-hashing polarizes and round-robin/least-loaded do
-    not. *)
+    ({!Sio_loadgen.Cluster}) of each event mechanism, hash steering
+    over a uniform population, at 6400 req/s offered (well above one
+    shard's capacity) with 10 000 idle connections split across
+    shards. *)
 
-type shard_scaling = {
-  ss_id : string;
-  ss_title : string;
-  ss_expectation : string;
-  ss_rate : int;  (** aggregate offered rate for every point *)
-  ss_idle : int;  (** aggregate idle population, split across shards *)
-  ss_shards : int list;  (** the x axis: {1, 2, 4, 8} *)
-  ss_series : (string * Experiment.server_kind) list;
-      (** poll, /dev/poll, epoll *)
-  ss_ablation_policies : Sio_httpd.Shard_cluster.policy list;
-  ss_ablation_population : Sio_httpd.Shard_cluster.population;
-}
+val shard_ablation : t
+(** The steering ablation run with {!shard_scaling}: one series per
+    policy, epoll shards, a Zipf(1.2)-skewed population of 64 client
+    tuples, where tuple-hashing polarizes and round-robin/least-loaded
+    do not. Not in the catalogue: it runs whenever shard-scaling
+    does. *)
 
-val shard_scaling : shard_scaling
+val find : string -> t option
+(** A catalogue figure ({!all} or {!heavy}) by id. *)
 
-val run_shard_scaling :
+val ids : unit -> string list
+(** Every catalogue id, {!all} then {!heavy}. *)
+
+val point_count : ?xs:int list -> t -> int
+(** How many points {!run} with the same [xs] simulates: every series
+    times the x values at or below its cap. *)
+
+val run :
   ?pool:Sio_sim.Domain_pool.t ->
-  ?shards:int list ->
   ?scale:float ->
   ?seed:int ->
+  ?xs:int list ->
   ?on_point:(label:string -> Sweep.point -> unit) ->
-  unit ->
+  t ->
   Report.series list
-(** The main grid: one series per event mechanism, hash steering over
-    a uniform (all-distinct-tuples) population — the faithful
-    SO_REUSEPORT default. Each point's [Sweep.rate] field carries the
-    shard count and its outcome is the cluster-merged view.
-    Deterministic in [seed]; with [pool] the points run in parallel
-    (the shards of each point stay sequential) with bit-identical
-    results. *)
+(** Executes every series of the figure at [xs] (default: the figure's
+    own), one point per (series, x) within the series' cap. [scale]
+    multiplies the paper's 35 000 connections per point where the
+    figure scales (default 0.2, which keeps a full figure under a
+    minute; use 1.0 for the paper's exact procedure). Raises
+    [Invalid_argument] before running anything if two points of a
+    series would share a seed (a duplicated x value).
 
-val run_shard_ablation :
-  ?pool:Sio_sim.Domain_pool.t ->
-  ?shards:int list ->
-  ?scale:float ->
-  ?seed:int ->
-  ?on_point:(label:string -> Sweep.point -> unit) ->
-  unit ->
-  Report.series list
-(** The steering ablation: one series per policy, epoll shards, the
-    Zipf-skewed client population of {!shard_scaling}. *)
+    Without [pool], [on_point] fires as each point completes, for
+    progress output. With [pool], all points of the figure run in
+    parallel on the pool's domains with bit-identical results;
+    [on_point] then fires in series-then-x order once every point has
+    landed. *)
 
-val render_shard_scaling :
-  Format.formatter -> main:Report.series list -> ablation:Report.series list -> unit
+val render : Format.formatter -> t -> Report.series list -> unit
+(** Per-series tables plus the figure's chart, prefixed by the
+    expectation. *)
+
+val json : seed:int -> scale:float -> t -> Report.series list -> string
+(** The figure's JSON sidecar: per point, the x value (keyed by the
+    axis), the offered rate, every CSV column, and run context — bytes
+    and partial writes sent, peak modeled kernel memory, and the
+    measuring host's RSS. The RSS makes it nondeterministic, so it
+    never enters a CSV or a fingerprint. *)

@@ -1,6 +1,6 @@
 open Sio_sim
 
-type point = { rate : int; outcome : Experiment.outcome }
+type point = { x : int; outcome : Experiment.outcome }
 
 let rates ~from ~until ~step =
   if step <= 0 then invalid_arg "Sweep.rates: step must be positive";
@@ -26,37 +26,14 @@ let point_config ~base ~min_duration_s rate =
     seed = Rng.derive ~seed:base.Experiment.seed rate;
   }
 
-let check_seeds_unique ~base ~rates =
-  let seen = Hashtbl.create (List.length rates) in
+let check_seeds_unique ~what seeds =
+  let seen = Hashtbl.create (List.length seeds) in
   List.iter
-    (fun rate ->
-      let seed = Rng.derive ~seed:base.Experiment.seed rate in
+    (fun (x, seed) ->
       match Hashtbl.find_opt seen seed with
       | Some other ->
           invalid_arg
-            (Printf.sprintf
-               "Sweep.run: rates %d and %d derive the same seed %d (duplicate rate?)"
-               other rate seed)
-      | None -> Hashtbl.replace seen seed rate)
-    rates
-
-let run ?pool ?(on_point = fun _ -> ()) ?(min_duration_s = 3) ~base ~rates () =
-  check_seeds_unique ~base ~rates;
-  let run_rate rate =
-    { rate; outcome = Experiment.run (point_config ~base ~min_duration_s rate) }
-  in
-  match pool with
-  | None ->
-      List.map
-        (fun rate ->
-          let point = run_rate rate in
-          on_point point;
-          point)
-        rates
-  | Some pool ->
-      (* Every point owns its engine and seed, so the parallel path is
-         bit-for-bit the sequential one; map restores input order, and
-         on_point fires in rate order only after all points landed. *)
-      let points = Domain_pool.map pool ~f:run_rate rates in
-      List.iter on_point points;
-      points
+            (Printf.sprintf "%s: x = %d and %d derive the same seed %d (duplicate x?)"
+               what other x seed)
+      | None -> Hashtbl.replace seen seed x)
+    seeds

@@ -317,6 +317,23 @@ let test_taint_bad () =
     ]
     (render_paths [ "taint_bad" ])
 
+(* Every figure writes through the one [Report.csv_of_series]: a host
+   measurement smuggled in by a figure on another axis (idle count) is
+   caught exactly as on the rate axis. *)
+let test_taint_figure_bad () =
+  Alcotest.(check (list string))
+    "taint_figure_bad findings"
+    [
+      "lint_fixtures/taint_figure_bad/report.ml:3:0: nondet-taint: byte-identity sink \
+       Report.csv_of_series transitively performs a host RSS measurement \
+       (Host_mem.rss_bytes) along resolved calls, so its output depends on the host; \
+       move the measurement out of the sink's call region (JSON report fields are the \
+       sanctioned home). flow: Report.csv_of_series -> Report.row -> read of tainted \
+       field outcome -> stored in field outcome -> Host_mem.rss_bytes \
+       (lint_fixtures/taint_figure_bad/figures.ml:7)";
+    ]
+    (render_paths [ "taint_figure_bad" ])
+
 let test_taint_flow_is_interprocedural () =
   (* The SARIF contract: the sink-region finding's flow must walk the
      resolved call chain across files, sink end first, source origin
@@ -743,6 +760,8 @@ let suite =
     Alcotest.test_case "nondet-taint: violations with flows" `Quick test_taint_bad;
     Alcotest.test_case "nondet-taint: flow is interprocedural" `Quick
       test_taint_flow_is_interprocedural;
+    Alcotest.test_case "nondet-taint: non-rate figure into the CSV writer" `Quick
+      test_taint_figure_bad;
     Alcotest.test_case "nondet-taint: conforming" `Quick
       (check_clean_paths "taint_ok" [ "taint_ok" ]);
     Alcotest.test_case "resource-pairing: violations with flows" `Quick test_pairing_bad;

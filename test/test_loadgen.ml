@@ -214,13 +214,10 @@ let test_sweep_min_duration () =
       ~kind:(Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 })
       ~workload:{ small_workload with Workload.total_connections = 100 }
   in
-  let points = Sweep.run ~min_duration_s:2 ~base ~rates:[ 400 ] () in
-  match points with
-  | [ p ] ->
-      (* 100 conns at 400/s would be 0.25 s; min_duration raises it. *)
-      Alcotest.(check bool) "at least 2s worth of conns" true
-        (p.Sweep.outcome.Experiment.metrics.Metrics.attempted >= 800)
-  | _ -> Alcotest.fail "expected one point"
+  let o = Experiment.run (Sweep.point_config ~base ~min_duration_s:2 400) in
+  (* 100 conns at 400/s would be 0.25 s; min_duration raises it. *)
+  Alcotest.(check bool) "at least 2s worth of conns" true
+    (o.Experiment.metrics.Metrics.attempted >= 800)
 
 let test_active_latency_profile () =
   let run profile =

@@ -32,7 +32,7 @@ let mk_metrics ~rate ~avg ~err ~median_ms =
 let mk_point rate =
   let metrics = mk_metrics ~rate ~avg:(float_of_int rate) ~err:10. ~median_ms:5. in
   {
-    Sweep.rate;
+    Sweep.x = rate;
     outcome =
       {
         Experiment.metrics;
@@ -70,7 +70,10 @@ let test_median_latency_ms () =
   Alcotest.(check bool) "about 5ms" true (abs_float (Metrics.median_latency_ms m -. 5.) < 0.5)
 
 let test_pp_table () =
-  let out = render (fun ppf -> Report.pp_table ppf series) in
+  let out =
+    render (fun ppf ->
+        Report.pp_table ~axis:"rate" Report.(reply_stats @ [ Median_ms ]) ppf series)
+  in
   Alcotest.(check bool) "label" true (contains out "test-series");
   Alcotest.(check bool) "header" true (contains out "median_ms");
   Alcotest.(check bool) "row 500" true (contains out "500");
@@ -83,9 +86,10 @@ let test_pp_chart () =
   Alcotest.(check bool) "glyph plotted" true (contains out "*")
 
 let test_pp_comparisons () =
-  let err = render (fun ppf -> Report.pp_error_comparison ppf [ series ]) in
+  let compare col = render (fun ppf -> Report.pp_comparison ~axis:"rate" col ppf [ series ]) in
+  let err = compare Report.Err_percent in
   Alcotest.(check bool) "error header" true (contains err "errors in percent");
-  let lat = render (fun ppf -> Report.pp_latency_comparison ppf [ series ]) in
+  let lat = compare Report.Median_ms in
   Alcotest.(check bool) "latency header" true (contains lat "median connection time")
 
 let test_pp_counters () =

@@ -15,7 +15,11 @@ let figure id =
   | None -> Alcotest.fail (id ^ " missing from the catalog")
 
 (* Every number the harness reports, as one comparable string. *)
-let fingerprint series = String.concat "\n" (List.map Report.csv_of_series series)
+let fingerprint fig series =
+  String.concat "\n"
+    (List.map
+       (Report.csv_of_series ~axis:fig.Scalanio.Figures.axis fig.Scalanio.Figures.columns)
+       series)
 
 let check_metrics_identical ~what (a : Metrics.t) (b : Metrics.t) =
   Alcotest.(check int) (what ^ " attempted") a.Metrics.attempted b.Metrics.attempted;
@@ -32,7 +36,7 @@ let check_metrics_identical ~what (a : Metrics.t) (b : Metrics.t) =
     (Metrics.median_latency_ms a) (Metrics.median_latency_ms b)
 
 let run_figure ?pool id =
-  Scalanio.Figures.run ?pool ~scale ~rates:reduced_rates (figure id)
+  Scalanio.Figures.run ?pool ~scale ~xs:reduced_rates (figure id)
 
 let test_figure_bit_identical id () =
   Domain_pool.with_pool ~size:2 (fun pool ->
@@ -40,15 +44,16 @@ let test_figure_bit_identical id () =
       let par = run_figure ~pool id in
       Alcotest.(check string)
         (id ^ " csv fingerprint identical")
-        (fingerprint seq) (fingerprint par);
+        (fingerprint (figure id) seq)
+        (fingerprint (figure id) par);
       List.iter2
         (fun (s : Report.series) (p : Report.series) ->
           Alcotest.(check string) "labels" s.Report.label p.Report.label;
           List.iter2
             (fun (sp : Sweep.point) (pp : Sweep.point) ->
-              Alcotest.(check int) "rate order restored" sp.Sweep.rate pp.Sweep.rate;
+              Alcotest.(check int) "rate order restored" sp.Sweep.x pp.Sweep.x;
               check_metrics_identical
-                ~what:(Printf.sprintf "%s rate=%d" id sp.Sweep.rate)
+                ~what:(Printf.sprintf "%s rate=%d" id sp.Sweep.x)
                 sp.Sweep.outcome.Experiment.metrics pp.Sweep.outcome.Experiment.metrics;
               Alcotest.(check int) "syscalls"
                 sp.Sweep.outcome.Experiment.host_counters.Sio_kernel.Host.syscalls
@@ -56,37 +61,62 @@ let test_figure_bit_identical id () =
             s.Report.points p.Report.points)
         seq par)
 
-let test_on_point_fires_in_rate_order () =
-  let base =
-    Experiment.default_config
-      ~kind:(Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 })
-      ~workload:
-        {
-          Workload.default with
-          Workload.total_connections = 100;
-          inactive_connections = 1;
-        }
+(* A one-series rate figure over a small devpoll base, [min_duration_s]
+   0 so the points stay tiny. *)
+let small_figure =
+  let base ~seed =
+    {
+      (Experiment.default_config
+         ~kind:(Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 })
+         ~workload:
+           {
+             Workload.default with
+             Workload.total_connections = 100;
+             inactive_connections = 1;
+           })
+      with
+      Experiment.seed;
+    }
   in
+  {
+    Scalanio.Figures.id = "small";
+    title = "small";
+    expectation = "";
+    axis = "rate";
+    xs = reduced_rates;
+    series =
+      [
+        {
+          Scalanio.Figures.label = "devpoll";
+          cap = None;
+          config =
+            (fun ~scale:_ ~seed rate ->
+              Scalanio.Figures.Single
+                (Sweep.point_config ~base:(base ~seed) ~min_duration_s:0 rate));
+        };
+      ];
+    columns = Report.reply_stats;
+    chart = Scalanio.Figures.Reply_rate;
+  }
+
+let test_on_point_fires_in_rate_order () =
   Domain_pool.with_pool ~size:2 (fun pool ->
       let seen = ref [] in
       let points =
-        Sweep.run ~pool ~min_duration_s:0
-          ~on_point:(fun p -> seen := p.Sweep.rate :: !seen)
-          ~base ~rates:reduced_rates ()
+        List.concat_map
+          (fun s -> s.Report.points)
+          (Scalanio.Figures.run ~pool
+             ~on_point:(fun ~label:_ p -> seen := p.Sweep.x :: !seen)
+             small_figure)
       in
       Alcotest.(check (list int)) "on_point in rate order" reduced_rates (List.rev !seen);
       Alcotest.(check (list int)) "points in rate order" reduced_rates
-        (List.map (fun p -> p.Sweep.rate) points))
+        (List.map (fun p -> p.Sweep.x) points))
 
 let test_duplicate_rate_rejected () =
-  let base =
-    Experiment.default_config
-      ~kind:(Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 })
-      ~workload:{ Workload.default with Workload.total_connections = 100 }
-  in
   let raised =
     try
-      ignore (Sweep.run ~base ~rates:[ 500; 600; 500 ] ());
+      ignore (Scalanio.Figures.run ~xs:[ 500; 600; 500 ] small_figure);
       false
     with Invalid_argument msg ->
       Alcotest.(check bool) "message names the seed clash" true
