@@ -47,29 +47,56 @@ let interest_find =
 (* Hoisted so the benchmark bodies allocate no option of their own. *)
 let poll_now = Some Time.zero
 
-let zero_env n =
+(* The one probe world for single-call measurements, here and in the
+   simulated cost tables: [n] established sockets on fds 0..n-1
+   behind a table lookup, the first [ready] of them holding one unread
+   byte (never read, so they stay ready), on a host with [costs] and
+   driver [hints] (the host's defaults when omitted). *)
+let env ?costs ?hints ?(ready = 0) n =
   let engine = Engine.create () in
-  let host = Host.create ~engine ~costs:Cost_model.zero () in
+  let host = Host.create ~engine ?costs ?hints_by_default:hints () in
   let sockets = Hashtbl.create n in
   for fd = 0 to n - 1 do
-    Hashtbl.replace sockets fd (Socket.create_established ~host)
+    let s = Socket.create_established ~host in
+    if fd < ready then ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
+    Hashtbl.replace sockets fd s
   done;
   (engine, host, sockets)
 
+(* The probe world with every fd registered for POLLIN on one
+   /dev/poll or one epoll instance. *)
+let devpoll_env ?costs ?hints ?ready n =
+  let engine, host, sockets = env ?costs ?hints ?ready n in
+  let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
+  Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
+  (engine, host, dev)
+
+let epoll_env ?costs ?ready n =
+  let engine, host, sockets = env ?costs ?ready n in
+  let ep = Epoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
+  for fd = 0 to n - 1 do
+    ignore (Epoll.ctl_add ep ~fd ~events:Pollmask.pollin ())
+  done;
+  (engine, host, ep)
+  [@@lint.ignore "throwaway probe instance: the whole epoll set is dropped after the \
+                  measurement, so there is nothing to delete interest-by-interest"]
+
 let poll_scan n =
   Test.make ~name:(Printf.sprintf "poll() scan, %d idle fds" n)
-    (let engine, host, sockets = zero_env n in
+    (let engine, host, sockets = env ~costs:Cost_model.zero n in
      let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
      Staged.stage (fun () ->
          Poll.wait ~host ~lookup:(Hashtbl.find_opt sockets) ~interests
            ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
-let devpoll_scan n =
-  Test.make ~name:(Printf.sprintf "DP_POLL scan, %d idle interests" n)
-    (let engine, host, sockets = zero_env n in
-     let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-     Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
+(* With hints off no probe can certify an idle entry, so the active
+   set never drains and the host walk stays O(open set). *)
+let devpoll_scan ?(hints = true) n =
+  Test.make
+    ~name:
+      (Printf.sprintf "DP_POLL scan, %d idle interests%s" n (if hints then "" else ", hints off"))
+    (let engine, _, dev = devpoll_env ~costs:Cost_model.zero ~hints n in
      Staged.stage (fun () ->
          Devpoll.dp_poll dev ~max_results:64 ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
@@ -82,7 +109,7 @@ let devpoll_scan n =
    are re-probed every scan). *)
 let pset_scan n =
   Test.make ~name:(Printf.sprintf "poll pset scan, %d idle fds" n)
-    (let engine, host, sockets = zero_env n in
+    (let engine, host, sockets = env ~costs:Cost_model.zero n in
      let set = Poll.Pset.create ~host ~lookup:(Hashtbl.find_opt sockets) () in
      for fd = 0 to n - 1 do
        Poll.Pset.set set fd Pollmask.pollin
@@ -93,7 +120,7 @@ let pset_scan n =
 
 let sset_scan n =
   Test.make ~name:(Printf.sprintf "select sset scan, %d idle fds" n)
-    (let engine, host, sockets = zero_env n in
+    (let engine, host, sockets = env ~costs:Cost_model.zero n in
      let set = Select.Sset.create ~host ~lookup:(Hashtbl.find_opt sockets) () in
      for fd = 0 to n - 1 do
        Select.Sset.add set fd Pollmask.pollin
@@ -104,39 +131,26 @@ let sset_scan n =
 
 let devpoll_scan_active n k =
   Test.make ~name:(Printf.sprintf "DP_POLL scan, %d active of %d" k n)
-    (let engine, host, sockets = zero_env n in
-     let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-     Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
-     for fd = 0 to k - 1 do
-       ignore (Socket.deliver (Hashtbl.find sockets fd) ~bytes_len:1 ~payload:"")
-     done;
+    (let engine, _, dev = devpoll_env ~costs:Cost_model.zero ~ready:k n in
      Staged.stage (fun () ->
          Devpoll.dp_poll dev ~max_results:k ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
+(* Level-triggered: the same k descriptors are harvested and re-armed
+   every wait. *)
 let epoll_wait_ready n k =
   Test.make ~name:(Printf.sprintf "epoll_wait, %d ready of %d" k n)
-    (let engine, host, sockets = zero_env n in
-     let ep = Epoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-     for fd = 0 to n - 1 do
-       ignore (Epoll.ctl_add ep ~fd ~events:Pollmask.pollin ())
-     done;
-     (* Delivered bytes are never read: level-triggered, the same k
-        descriptors are harvested and re-armed every wait. *)
-     for fd = 0 to k - 1 do
-       ignore (Socket.deliver (Hashtbl.find sockets fd) ~bytes_len:1 ~payload:"")
-     done;
+    (let engine, _, ep = epoll_env ~costs:Cost_model.zero ~ready:k n in
      Staged.stage (fun () ->
          Epoll.wait ep ~max_events:64 ~timeout:poll_now ~k:ignore;
          Engine.run engine))
-  [@@lint.ignore "throwaway probe instance: the whole epoll set is dropped after the \
-                  measurement, so there is nothing to delete interest-by-interest"]
 
 let ready_set_tests =
   Test.make_grouped ~name:"ready-set"
     [
       pset_scan 1000;
       sset_scan 1000;
+      devpoll_scan ~hints:false 1000;
       devpoll_scan_active 1000 8;
       devpoll_scan_active 1000 64;
       epoll_wait_ready 1000 8;
@@ -144,7 +158,7 @@ let ready_set_tests =
 
 let rt_enqueue_dequeue =
   Test.make ~name:"RT signal enqueue+sigwaitinfo"
-    (let engine, host, _ = zero_env 1 in
+    (let engine, host, _ = env ~costs:Cost_model.zero 1 in
      let q = Rt_signal.create_queue ~host () in
      let sock = Socket.create_established ~host in
      Rt_signal.set_signal q ~socket:sock ~fd:3 ~signo:Rt_signal.sigrtmin;

@@ -4,15 +4,7 @@
 
 open Sio_sim
 open Sio_kernel
-
-let env n =
-  let engine = Engine.create () in
-  let host = Host.create ~engine () in
-  let sockets = Hashtbl.create n in
-  for fd = 0 to n - 1 do
-    Hashtbl.replace sockets fd (Socket.create_established ~host)
-  done;
-  (engine, host, sockets)
+open Bench_lib
 
 let busy_delta host f =
   let before = Cpu.total_busy host.Host.cpu in
@@ -22,7 +14,7 @@ let busy_delta host f =
 (* Simulated CPU cost of one wait call over [n] idle descriptors. *)
 let select_call_cost n =
   let n = Stdlib.min n (Fd_set.fd_setsize - 1) in
-  let engine, host, sockets = env n in
+  let engine, host, sockets = Bench_micro.env n in
   let read = Fd_set.create () in
   for fd = 0 to n - 1 do
     Fd_set.set read fd
@@ -34,31 +26,21 @@ let select_call_cost n =
       Engine.run engine)
 
 let epoll_call_cost n =
-  let engine, host, sockets = env n in
-  let ep = Epoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-  for fd = 0 to n - 1 do
-    ignore
-      (Epoll.ctl_add ep ~fd ~events:Pollmask.pollin ()
-      [@lint.ignore
-        "one-shot measurement instance: the epoll set and every interest in it are \
-         dropped wholesale after the call-cost probe"])
-  done;
+  let engine, host, ep = Bench_micro.epoll_env n in
   busy_delta host (fun () ->
       Epoll.wait ep ~max_events:64 ~timeout:(Some Time.zero) ~k:(fun _ -> ());
       Engine.run engine)
 
 let poll_call_cost n =
-  let engine, host, sockets = env n in
+  let engine, host, sockets = Bench_micro.env n in
   let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
   busy_delta host (fun () ->
       Poll.wait ~host ~lookup:(Hashtbl.find_opt sockets) ~interests
         ~timeout:(Some Time.zero) ~k:(fun _ -> ());
       Engine.run engine)
 
-let devpoll_call_cost ~warm n =
-  let engine, host, sockets = env n in
-  let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-  Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
+let devpoll_call_cost ?hints ~warm n =
+  let engine, host, dev = Bench_micro.devpoll_env ?hints n in
   if warm then begin
     (* Populate the result caches so hints can do their job. *)
     Devpoll.dp_poll dev ~max_results:64 ~timeout:(Some Time.zero) ~k:(fun _ -> ());
@@ -72,16 +54,23 @@ let devpoll_call_cost ~warm n =
    connection turnover (add + remove) vs re-submitting the whole
    array, which is what every poll() call does. *)
 let interest_maintenance_cost n =
-  let engine, host, sockets = env n in
-  let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
-  Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
-  ignore engine;
+  let _, host, dev = Bench_micro.devpoll_env n in
   busy_delta host (fun () ->
       Devpoll.write dev [ (0, Pollmask.pollremove) ];
       Devpoll.write dev [ (0, Pollmask.pollin) ])
 
+(* One DP_POLL returning [n] ready descriptors, through the mapped
+   result area or copied out: the saving is per ready descriptor, so
+   it only shows at high readiness. *)
+let devpoll_results_cost ~use_mmap n =
+  let engine, host, dev = Bench_micro.devpoll_env ~ready:n n in
+  if use_mmap then Devpoll.alloc_result_map dev ~slots:n;
+  busy_delta host (fun () ->
+      Devpoll.dp_poll dev ~max_results:n ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+      Engine.run engine)
+
 let rt_event_cost ~batch n_events =
-  let engine, host, _ = env 0 in
+  let engine, host, _ = Bench_micro.env 0 in
   let q = Rt_signal.create_queue ~host ~limit:(n_events + 1) () in
   let sock = Socket.create_established ~host in
   Rt_signal.set_signal q ~socket:sock ~fd:1 ~signo:Rt_signal.sigrtmin;
@@ -103,15 +92,16 @@ let rt_event_cost ~batch n_events =
 let run ppf =
   Fmt.pf ppf "== Simulated syscall costs vs interest-set size ==@.";
   Fmt.pf ppf "(one wait call, nothing ready: the pure scan overhead)@.";
-  Fmt.pf ppf "%8s  %10s  %10s  %13s  %13s  %9s@." "fds" "select us" "poll us"
-    "devpoll cold" "devpoll warm" "epoll us";
+  Fmt.pf ppf "%8s  %10s  %10s  %13s  %13s  %15s  %9s@." "fds" "select us" "poll us"
+    "devpoll cold" "devpoll warm" "warm, hints off" "epoll us";
   List.iter
     (fun n ->
-      Fmt.pf ppf "%8d  %10.1f  %10.1f  %13.1f  %13.1f  %9.1f@." n
+      Fmt.pf ppf "%8d  %10.1f  %10.1f  %13.1f  %13.1f  %15.1f  %9.1f@." n
         (Time.to_us_f (select_call_cost n))
         (Time.to_us_f (poll_call_cost n))
         (Time.to_us_f (devpoll_call_cost ~warm:false n))
         (Time.to_us_f (devpoll_call_cost ~warm:true n))
+        (Time.to_us_f (devpoll_call_cost ~hints:false ~warm:true n))
         (Time.to_us_f (epoll_call_cost n)))
     [ 1; 10; 100; 250; 500; 1000; 2000 ];
   Fmt.pf ppf "@.== Interest maintenance: incremental /dev/poll writes ==@.";
@@ -123,6 +113,12 @@ let run ppf =
       Fmt.pf ppf "%8d fds: incremental %.1f us vs per-call copy %.1f us@." n
         (Time.to_us_f incremental) (Time.to_us_f full_copy))
     [ 100; 500; 1000 ];
+  Fmt.pf ppf "@.== Result delivery: one DP_POLL, every fd ready ==@.";
+  Fmt.pf ppf "(the shared result mapping saves a copy per ready descriptor)@.";
+  Fmt.pf ppf "%8s  %20s  %20s@." "ready" "mmap result area us" "copy-out results us";
+  Fmt.pf ppf "%8d  %20.1f  %20.1f@." 256
+    (Time.to_us_f (devpoll_results_cost ~use_mmap:true 256))
+    (Time.to_us_f (devpoll_results_cost ~use_mmap:false 256));
   Fmt.pf ppf "@.== RT signal dequeue: sigwaitinfo vs sigtimedwait4 ==@.";
   Fmt.pf ppf "(draining 512 queued events; the paper's proposed batching syscall)@.";
   List.iter

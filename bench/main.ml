@@ -2,7 +2,8 @@
 
    1. bechamel microbenchmarks of the library's hot paths (wall time);
    2. simulated operation-cost tables (the paper's Section 3 claims);
-   3. ablations of each design choice DESIGN.md calls out;
+   3. ablations of each design choice DESIGN.md calls out
+      ([Figures.ablations], at their own operating points);
    4. regeneration of every figure of the paper's evaluation
       (Figures 4-14) plus the future-work extension experiments.
 
@@ -39,17 +40,14 @@ let () =
   Fmt.pf ppf "figure scale: %.2f x 35000 connections/point, rate step %d@.@." scale step;
   if not skip_micro then Bench_lib.Bench_micro.run ppf;
   Bench_opcost.run ppf;
-  Bench_ablation.run ppf ~scale;
-  Bench_docsize.run ppf ~scale;
-  Bench_docsize.internet_mix ppf ~scale;
   let rates = Sio_loadgen.Sweep.rates ~from:500 ~until:1100 ~step in
   let run_figures pool =
-    List.iter
-      (fun fig ->
-        let series = Scalanio.Figures.run ?pool ~scale ~xs:rates fig in
-        Scalanio.Figures.render ppf fig series;
-        Fmt.pf ppf "@.")
-      Scalanio.Figures.all
+    let render ?xs fig =
+      Scalanio.Figures.render ppf fig (Scalanio.Figures.run ?pool ~scale ?xs fig);
+      Fmt.pf ppf "@."
+    in
+    List.iter render Scalanio.Figures.ablations;
+    List.iter (render ~xs:rates) Scalanio.Figures.all
   in
   (match jobs with
   | 1 -> run_figures None

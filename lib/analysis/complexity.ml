@@ -1366,13 +1366,40 @@ let is_entry_point (s : Symbol_index.symbol) = List.mem s.qname entry_points
 
 (* Deterministic whole-tree report: one line per symbol in (file,
    line, qname) order. Committed as test/lint_fixtures/
-   complexity_report.txt so asymptotic drift shows up in review. *)
+   complexity_report.txt so asymptotic drift shows up in review.
+   Entries are keyed by file and qualified symbol, and a lost bound
+   names the symbol it was lost in, not a line: an edit shows up as
+   the entries it touches, not as every later line number moving.
+   Anonymous top-level bindings print as "(toplevel)" for the same
+   reason. *)
 let report (index : Symbol_index.t) (r : result) : string =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
     "# sio_lint complexity report — host=structural work, charged=simulated CPU\n";
   Buffer.add_string buf
     "# size classes: ready <= active <= interests; conns, slots incomparable\n";
+  let name (s : Symbol_index.symbol) =
+    dotted
+      (List.map
+         (fun n -> if String.starts_with ~prefix:"(toplevel:" n then "(toplevel)" else n)
+         s.qname)
+  in
+  let encloses (s : Symbol_index.symbol) (st : Finding.step) =
+    let pos (p : Lexing.position) = (p.pos_lnum, p.pos_cnum - p.pos_bol) in
+    String.equal s.file st.sfile
+    && pos s.loc.loc_start <= (st.sline, st.scol)
+    && (st.sline, st.scol) <= pos s.loc.loc_end
+  in
+  let origin = function
+    | Top (st :: _) ->
+        let where =
+          match List.find_opt (fun s -> encloses s st) index.Symbol_index.symbols with
+          | Some s -> name s
+          | None -> Printf.sprintf "%s:%d" st.sfile st.sline
+        in
+        Printf.sprintf "O(top) <- %s in %s" st.swhat where
+    | c -> render_cost_origin c
+  in
   let syms =
     List.sort
       (fun (a : Symbol_index.symbol) (b : Symbol_index.symbol) ->
@@ -1385,10 +1412,8 @@ let report (index : Symbol_index.t) (r : result) : string =
       | None -> ()
       | Some sum ->
           Buffer.add_string buf
-            (Printf.sprintf "%s:%d: %s: host=%s charged=%s%s\n" s.file s.line
-               (dotted s.qname)
-               (render_cost_origin sum.host)
-               (render_cost_origin sum.charged)
+            (Printf.sprintf "%s: %s: host=%s charged=%s%s\n" s.file (name s)
+               (origin sum.host) (origin sum.charged)
                (match s.annot with
                | Some a -> Printf.sprintf " annot=%S" a
                | None -> "")))

@@ -91,6 +91,16 @@ val shard_ablation : t
     do not. Not in the catalogue: it runs whenever shard-scaling
     does. *)
 
+val ablations : t list
+(** The design-choice evidence, one spec per choice, not in the
+    catalogue: driver hints, the per-iteration event bound, sendfile,
+    the mmap result area end to end, the wake policy, phhttpd's
+    per-connection mechanisms, the hybrid's sigtimedwait4 batch, then
+    document size ([docsize], on a [doc_bytes] axis) and the Internet
+    mix. Each ablation runs one operating point (its one x is the
+    request rate) with the runner's seed unchanged, one series per
+    variant of that point. *)
+
 val find : string -> t option
 (** A catalogue figure ({!all} or {!heavy}) by id. *)
 
@@ -125,7 +135,8 @@ val run :
 
 val render : Format.formatter -> t -> Report.series list -> unit
 (** Per-series tables plus the figure's chart, prefixed by the
-    expectation. *)
+    expectation: "paper:" for the {!all} figures, "expected:" for the
+    rest. *)
 
 val json : seed:int -> scale:float -> t -> Report.series list -> string
 (** The figure's JSON sidecar: per point, the x value (keyed by the

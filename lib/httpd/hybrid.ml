@@ -67,9 +67,11 @@ let after_signals core batch =
   let st = Server_core.state core in
   let overflowed = Ready_batch.overflowed batch in
   (* A run of full batches means the queue is backing up: switch
-     before it overflows. The SIGIO counts as one of the batch. *)
+     before it overflows. The SIGIO counts as one of the batch. At
+     batch 1 every delivery is full, so a streak says nothing about
+     load and only the overflow switches. *)
   let delivered = Ready_batch.length batch + if overflowed then 1 else 0 in
-  if delivered >= st.config.sigtimedwait4_batch then
+  if st.config.sigtimedwait4_batch > 1 && delivered >= st.config.sigtimedwait4_batch then
     st.full_batch_streak <- st.full_batch_streak + 1
   else st.full_batch_streak <- 0;
   if overflowed then begin

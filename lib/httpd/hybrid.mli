@@ -31,11 +31,14 @@ type config = {
   sweep_cost_per_conn : Time.t;
   sample_interval : Time.t;
   signo : int;
-  sigtimedwait4_batch : int;  (** 1 = plain sigwaitinfo semantics *)
+  sigtimedwait4_batch : int;
+      (** 1 = plain sigwaitinfo semantics: only the overflow SIGIO
+          switches to polling *)
   switch_streak : int;
       (** consecutive full batches treated as "queue is backing up":
           the load signal that triggers the switch to polling (the
-          paper notes the RT queue length tracks server workload) *)
+          paper notes the RT queue length tracks server workload);
+          unused at batch 1, where every delivery is full *)
   max_events : int;  (** /dev/poll batch size *)
   low_watermark : int;
       (** switch back to signals when a poll batch is smaller than this *)

@@ -15,6 +15,10 @@ type column =
   | Completed
   | Kernel_bytes
   | Mbit_s
+  | Cpu_percent
+  | Driver_polls
+  | Hint_skips
+  | Mode_switches
 
 let reply_stats = [ Avg; Sd; Min; Max; Err_percent ]
 let counts = [ Attempted; Completed ]
@@ -41,6 +45,10 @@ let value col p =
   | Mbit_s ->
       let wire = Sio_httpd.Http.response_bytes ~body_bytes:p.Sweep.x in
       m.Metrics.reply_rate_avg *. float_of_int wire *. 8. /. 1e6
+  | Cpu_percent -> 100. *. o.Experiment.cpu_utilization
+  | Driver_polls -> float_of_int o.Experiment.host_counters.Host.driver_polls
+  | Hint_skips -> float_of_int o.Experiment.host_counters.Host.hint_skips
+  | Mode_switches -> float_of_int o.Experiment.server_stats.Sio_httpd.Server_stats.mode_switches
 
 (* CSV header and decimals; the terminal table's header, width and
    decimals ([None]: CSV only); the comparison caption. *)
@@ -58,6 +66,11 @@ let spec = function
   | Kernel_bytes ->
       ("kernel_bytes", 0, Some ("kernel_bytes", 12, 0), "peak kernel socket memory, bytes")
   | Mbit_s -> ("mbit_s", 2, Some ("Mbit/s", 9, 1), "achieved wire throughput, Mbit/s")
+  | Cpu_percent -> ("cpu_percent", 3, Some ("cpu%", 6, 1), "server CPU utilization, percent")
+  | Driver_polls -> ("driver_polls", 0, Some ("driver_polls", 12, 0), "driver poll callbacks")
+  | Hint_skips -> ("hint_skips", 0, Some ("hint_skips", 10, 0), "poll callbacks skipped by hints")
+  | Mode_switches ->
+      ("mode_switches", 0, Some ("mode_switches", 13, 0), "signal/poll mode switches")
 
 let column_name col =
   let name, _, _, _ = spec col in
@@ -172,17 +185,6 @@ let pp_comparison ~axis col ppf series_list =
         series_list;
       Fmt.pf ppf "@.")
     longest
-
-let pp_counters ppf p =
-  let o = p.Sweep.outcome in
-  let c = o.Experiment.host_counters in
-  Fmt.pf ppf
-    "rate=%d cpu=%.1f%% syscalls=%d driver_polls=%d hint_skips=%d wakes=%d rt_enq=%d rt_drop=%d overflows=%d refused=%d mode=%s@."
-    p.Sweep.x
-    (100. *. o.Experiment.cpu_utilization)
-    c.Host.syscalls c.Host.driver_polls c.Host.hint_skips c.Host.wait_queue_wakes
-    c.Host.rt_enqueued c.Host.rt_dropped c.Host.rt_overflows
-    c.Host.connections_refused o.Experiment.final_mode
 
 let csv_of_series ~axis columns s =
   let buf = Buffer.create 256 in

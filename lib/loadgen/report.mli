@@ -26,6 +26,10 @@ type column =
       (** achieved wire throughput: [Avg] times the full response
           size (headers + body), where the point's x value is the
           response body size in bytes *)
+  | Cpu_percent  (** modeled server CPU utilization over the run *)
+  | Driver_polls  (** device-driver poll callbacks the kernel made *)
+  | Hint_skips  (** driver poll callbacks that hints made unnecessary *)
+  | Mode_switches  (** phhttpd/hybrid switches between signals and polling *)
 
 val reply_stats : column list
 (** [Avg; Sd; Min; Max; Err_percent]: the block every figure leads
@@ -53,10 +57,6 @@ val pp_comparison : axis:string -> column -> Format.formatter -> series list -> 
 (** One column of every series side by side, one row per x value
     (Figure 10's error percent, Figure 14's median latency). A series
     shorter than the longest shows ["-"] in the cells it skipped. *)
-
-val pp_counters : Format.formatter -> Sweep.point -> unit
-(** Kernel/server counter dump for one point (hints, driver polls,
-    overflows, ...). *)
 
 val csv_of_series : axis:string -> column list -> series -> string
 (** The series as CSV for external plotting tools: a header ([axis],

@@ -34,7 +34,7 @@ let test_every_figure_has_expectation () =
         (f.Scalanio.Figures.id ^ " has x values")
         true
         (f.Scalanio.Figures.xs <> []))
-    (Scalanio.Figures.all @ Scalanio.Figures.heavy @ [ Scalanio.Figures.shard_ablation ])
+    Scalanio.Figures.(all @ heavy @ [ shard_ablation ] @ ablations)
 
 let test_tiny_run_produces_series () =
   match Scalanio.Figures.find "fig5" with
@@ -150,15 +150,68 @@ let golden_csvs =
      "shards,avg,sd,min,max,err_percent,p50_ms,p99_ms,attempted,completed\n1,6400.00,0.00,6400.00,6400.00,0.00,1331.200,2611.200,3200,3200\n2,6400.00,0.00,6400.00,6400.00,0.00,524.800,1228.800,3200,3200\n");
   ]
 
+(* Every ablation series, pinned the same way at scale 0.01, each spec
+   at its own operating point. A variant whose row differs from its
+   base point's row fails this test if its transform is lost. *)
+let golden_ablation_csvs =
+  [
+    ("hints/hints on",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,10.598,2701,425251\n");
+    ("hints/hints off",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,16.432,80447,0\n");
+    ("event-bound/max 2 events/iter",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,51.425,263862,0\n");
+    ("event-bound/max 8 events/iter",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,18.126,78465,0\n");
+    ("event-bound/max 32 events/iter",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,14.637,59004,0\n");
+    ("event-bound/max 1024 events/iter",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,14.637,59004,0\n");
+    ("sendfile/write()",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n1100,1100.00,0.00,1100.00,1100.00,0.00,3.814,703,357\n");
+    ("sendfile/sendfile()",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n1100,1100.00,0.00,1100.00,1100.00,0.00,3.557,1110,943\n");
+    ("mmap/mmap (end to end)",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,10.598,2701,425251\n");
+    ("mmap/copy-out (end to end)",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n900,900.00,0.00,900.00,900.00,0.00,10.601,2701,425251\n");
+    ("wake-policy/wake all",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n700,700.00,0.00,700.00,700.00,0.00,14.078,57863,0\n");
+    ("wake-policy/wake one",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n700,700.00,0.00,700.00,700.00,0.00,14.078,57863,0\n");
+    ("phhttpd-mechanisms/stock phhttpd",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n700,700.00,0.00,700.00,700.00,0.00,16.788,0,0\n");
+    ("phhttpd-mechanisms/no conn-table walk",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n700,700.00,0.00,700.00,700.00,0.00,5.004,0,0\n");
+    ("phhttpd-mechanisms/no timeout sweep",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips\n700,700.00,0.00,700.00,700.00,0.00,16.788,0,0\n");
+    ("hybrid-batch/batch 1",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips,mode_switches\n1000,1000.00,0.00,1000.00,1000.00,0.00,4.097,0,0,0\n");
+    ("hybrid-batch/batch 8",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips,mode_switches\n1000,1000.00,0.00,1000.00,1000.00,0.00,4.082,0,0,0\n");
+    ("hybrid-batch/batch 32",
+     "rate,avg,sd,min,max,err_percent,cpu_percent,driver_polls,hint_skips,mode_switches\n1000,1000.00,0.00,1000.00,1000.00,0.00,4.082,0,0,0\n");
+    ("docsize/poll",
+     "doc_bytes,avg,sd,min,max,err_percent,median_ms\n1024,500.00,0.00,500.00,500.00,0.00,9.000\n6144,500.00,0.00,500.00,500.00,0.00,11.400\n16384,500.00,0.00,500.00,500.00,0.00,17.200\n");
+    ("docsize/devpoll",
+     "doc_bytes,avg,sd,min,max,err_percent,median_ms\n1024,500.00,0.00,500.00,500.00,0.00,1.000\n6144,500.00,0.00,500.00,500.00,0.00,1.400\n16384,500.00,0.00,500.00,500.00,0.00,3.500\n");
+    ("internet-mix/LAN clients (the paper's)",
+     "rate,avg,sd,min,max,err_percent,median_ms\n700,700.00,0.00,700.00,700.00,0.00,2.400\n");
+    ("internet-mix/WAN clients (80ms +- 60ms)",
+     "rate,avg,sd,min,max,err_percent,median_ms\n700,700.00,0.00,700.00,700.00,0.00,435.200\n");
+    ("internet-mix/modem clients (Pareto 120ms+)",
+     "rate,avg,sd,min,max,err_percent,median_ms\n700,666.00,0.00,666.00,666.00,4.86,716.800\n")
+  ]
+
+let csvs ?scale ?xs fig =
+  List.map
+    (fun s ->
+      ( fig.Scalanio.Figures.id ^ "/" ^ s.Sio_loadgen.Report.label,
+        Sio_loadgen.Report.csv_of_series ~axis:fig.Scalanio.Figures.axis
+          fig.Scalanio.Figures.columns s ))
+    (Scalanio.Figures.run ?scale ?xs fig)
+
 let tiny_csvs () =
-  let csvs ?scale ?xs fig =
-    List.map
-      (fun s ->
-        ( fig.Scalanio.Figures.id ^ "/" ^ s.Sio_loadgen.Report.label,
-          Sio_loadgen.Report.csv_of_series ~axis:fig.Scalanio.Figures.axis
-            fig.Scalanio.Figures.columns s ))
-      (Scalanio.Figures.run ?scale ?xs fig)
-  in
   let open Scalanio.Figures in
   List.concat_map (fun fig -> csvs ~scale:0.01 ~xs:[ List.nth fig.xs 2 ] fig) all
   @ csvs ~xs:[ 1; 51 ] idle_scaling
@@ -166,13 +219,16 @@ let tiny_csvs () =
   @ csvs ~scale:0.02 ~xs:[ 1; 2 ] shard_scaling
   @ csvs ~scale:0.02 ~xs:[ 1; 2 ] shard_ablation
 
-let test_golden_csvs () =
-  let got = tiny_csvs () in
-  Alcotest.(check (list string)) "figure/series names" (List.map fst golden_csvs)
+let check_golden golden got =
+  Alcotest.(check (list string)) "figure/series names" (List.map fst golden)
     (List.map fst got);
-  List.iter2
-    (fun (name, want) (_, csv) -> Alcotest.(check string) name want csv)
-    golden_csvs got
+  List.iter2 (fun (name, want) (_, csv) -> Alcotest.(check string) name want csv) golden got
+
+let test_golden_csvs () = check_golden golden_csvs (tiny_csvs ())
+
+let test_golden_ablation_csvs () =
+  check_golden golden_ablation_csvs
+    (List.concat_map (csvs ~scale:0.01) Scalanio.Figures.ablations)
 
 (* [--rates] sets request rates, so it must refuse a figure whose x
    axis is something else rather than silently run that figure's
@@ -215,6 +271,7 @@ let suite =
     Alcotest.test_case "tiny run produces series" `Slow test_tiny_run_produces_series;
     Alcotest.test_case "render" `Slow test_render_does_not_raise;
     Alcotest.test_case "golden CSVs" `Slow test_golden_csvs;
+    Alcotest.test_case "golden ablation CSVs" `Slow test_golden_ablation_csvs;
     Alcotest.test_case "--rates rejected off the rate axis" `Quick
       test_rates_off_rate_axis_rejected;
   ]

@@ -86,12 +86,16 @@ let prop_heap_mixed_ops =
       (* [Some n] pushes n, [None] pops; compare against a sorted-list model. *)
       let h = int_heap () in
       let model = ref [] in
+      let rec insert n = function
+        | m :: rest when m < n -> m :: insert n rest
+        | l -> n :: l
+      in
       List.iter
         (fun op ->
           match op with
           | Some n ->
               Heap.push h n;
-              model := List.sort compare (n :: !model)
+              model := insert n !model
           | None -> (
               let got = Heap.pop h in
               match !model with

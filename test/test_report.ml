@@ -92,11 +92,6 @@ let test_pp_comparisons () =
   let lat = compare Report.Median_ms in
   Alcotest.(check bool) "latency header" true (contains lat "median connection time")
 
-let test_pp_counters () =
-  let out = render (fun ppf -> Report.pp_counters ppf (mk_point 700)) in
-  Alcotest.(check bool) "mode shown" true (contains out "mode=devpoll");
-  Alcotest.(check bool) "rate shown" true (contains out "rate=700")
-
 let suite =
   [
     Alcotest.test_case "total_errors sums the classes" `Quick test_total_errors;
@@ -104,5 +99,4 @@ let suite =
     Alcotest.test_case "pp_table" `Quick test_pp_table;
     Alcotest.test_case "pp_reply_rate_chart" `Quick test_pp_chart;
     Alcotest.test_case "pp comparisons" `Quick test_pp_comparisons;
-    Alcotest.test_case "pp_counters" `Quick test_pp_counters;
   ]

@@ -356,6 +356,34 @@ let test_hybrid_overflow_recovers_and_returns () =
     ((Hybrid.stats t).Server_stats.replies > 3000);
   Hybrid.stop t
 
+(* At batch 1 every delivery fills the batch, so "a run of full
+   batches" carries no load signal: only the overflow SIGIO may move a
+   plain-sigwaitinfo hybrid to polling. *)
+let test_hybrid_batch1_stays_in_signal_mode () =
+  let w = mk_world ~costs:Cost_model.default () in
+  let config = { Hybrid.default_config with Hybrid.sigtimedwait4_batch = 1 } in
+  let t =
+    match Hybrid.start ~proc:w.proc ~config () with
+    | Ok t -> t
+    | Error `Emfile -> Alcotest.fail "start failed"
+  in
+  let workload =
+    {
+      Sio_loadgen.Workload.default with
+      Sio_loadgen.Workload.request_rate = 200;
+      total_connections = 400;
+      inactive_connections = 0;
+    }
+  in
+  let _client =
+    Sio_loadgen.Httperf.start ~engine:w.engine ~net:w.net ~listener:(Hybrid.listener t)
+      ~workload ()
+  in
+  Engine.run ~until:(Time.s 3) w.engine;
+  Alcotest.(check int) "no mode switches" 0 (Hybrid.stats t).Server_stats.mode_switches;
+  Alcotest.(check bool) "served the load" true ((Hybrid.stats t).Server_stats.replies >= 390);
+  Hybrid.stop t
+
 let suite =
   [
     Alcotest.test_case "thttpd+poll serves a request" `Quick
@@ -379,6 +407,8 @@ let suite =
       test_hybrid_serves_in_signal_mode;
     Alcotest.test_case "hybrid recovers from overflow and switches back" `Quick
       test_hybrid_overflow_recovers_and_returns;
+    Alcotest.test_case "hybrid at batch 1 stays in signal mode under light load" `Quick
+      test_hybrid_batch1_stays_in_signal_mode;
   ]
   @ List.concat_map
       (fun name ->
