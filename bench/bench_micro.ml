@@ -51,29 +51,32 @@ let poll_now = Some Time.zero
    simulated cost tables: [n] established sockets on fds 0..n-1
    behind a table lookup, the first [ready] of them holding one unread
    byte (never read, so they stay ready), on a host with [costs] and
-   driver [hints] (the host's defaults when omitted). *)
+   driver [hints] (the host's defaults when omitted). The lookup
+   serves pre-boxed options, so it allocates nothing and a row's
+   words/op are the kernel's alone. *)
 let env ?costs ?hints ?(ready = 0) n =
   let engine = Engine.create () in
   let host = Host.create ~engine ?costs ?hints_by_default:hints () in
-  let sockets = Hashtbl.create n in
-  for fd = 0 to n - 1 do
-    let s = Socket.create_established ~host in
-    if fd < ready then ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
-    Hashtbl.replace sockets fd s
-  done;
-  (engine, host, sockets)
+  let sockets =
+    Array.init n (fun fd ->
+        let s = Socket.create_established ~host in
+        if fd < ready then ignore (Socket.deliver s ~bytes_len:1 ~payload:"");
+        Some s)
+  in
+  let lookup fd = if fd >= 0 && fd < n then sockets.(fd) else None in
+  (engine, host, lookup)
 
 (* The probe world with every fd registered for POLLIN on one
    /dev/poll or one epoll instance. *)
 let devpoll_env ?costs ?hints ?ready n =
-  let engine, host, sockets = env ?costs ?hints ?ready n in
-  let dev = Devpoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
+  let engine, host, lookup = env ?costs ?hints ?ready n in
+  let dev = Devpoll.create ~host ~lookup in
   Devpoll.write dev (List.init n (fun fd -> (fd, Pollmask.pollin)));
   (engine, host, dev)
 
 let epoll_env ?costs ?ready n =
-  let engine, host, sockets = env ?costs ?ready n in
-  let ep = Epoll.create ~host ~lookup:(Hashtbl.find_opt sockets) in
+  let engine, host, lookup = env ?costs ?ready n in
+  let ep = Epoll.create ~host ~lookup in
   for fd = 0 to n - 1 do
     ignore (Epoll.ctl_add ep ~fd ~events:Pollmask.pollin ())
   done;
@@ -83,11 +86,10 @@ let epoll_env ?costs ?ready n =
 
 let poll_scan n =
   Test.make ~name:(Printf.sprintf "poll() scan, %d idle fds" n)
-    (let engine, host, sockets = env ~costs:Cost_model.zero n in
+    (let engine, host, lookup = env ~costs:Cost_model.zero n in
      let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
      Staged.stage (fun () ->
-         Poll.wait ~host ~lookup:(Hashtbl.find_opt sockets) ~interests
-           ~timeout:poll_now ~k:(fun _ -> ());
+         Poll.wait ~host ~lookup ~interests ~timeout:poll_now ~k:(fun _ -> ());
          Engine.run engine))
 
 (* With hints off no probe can certify an idle entry, so the active
@@ -109,8 +111,8 @@ let devpoll_scan ?(hints = true) n =
    are re-probed every scan). *)
 let pset_scan n =
   Test.make ~name:(Printf.sprintf "poll pset scan, %d idle fds" n)
-    (let engine, host, sockets = env ~costs:Cost_model.zero n in
-     let set = Poll.Pset.create ~host ~lookup:(Hashtbl.find_opt sockets) () in
+    (let engine, host, lookup = env ~costs:Cost_model.zero n in
+     let set = Poll.Pset.create ~host ~lookup () in
      for fd = 0 to n - 1 do
        Poll.Pset.set set fd Pollmask.pollin
      done;
@@ -120,8 +122,8 @@ let pset_scan n =
 
 let sset_scan n =
   Test.make ~name:(Printf.sprintf "select sset scan, %d idle fds" n)
-    (let engine, host, sockets = env ~costs:Cost_model.zero n in
-     let set = Select.Sset.create ~host ~lookup:(Hashtbl.find_opt sockets) () in
+    (let engine, host, lookup = env ~costs:Cost_model.zero n in
+     let set = Select.Sset.create ~host ~lookup () in
      for fd = 0 to n - 1 do
        Select.Sset.add set fd Pollmask.pollin
      done;

@@ -14,15 +14,15 @@ let busy_delta host f =
 (* Simulated CPU cost of one wait call over [n] idle descriptors. *)
 let select_call_cost n =
   let n = Stdlib.min n (Fd_set.fd_setsize - 1) in
-  let engine, host, sockets = Bench_micro.env n in
+  let engine, host, lookup = Bench_micro.env n in
   let read = Fd_set.create () in
   for fd = 0 to n - 1 do
     Fd_set.set read fd
   done;
   let none = Fd_set.create () in
   busy_delta host (fun () ->
-      Select.select ~host ~lookup:(Hashtbl.find_opt sockets) ~read ~write:none
-        ~except:none ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+      Select.select ~host ~lookup ~read ~write:none ~except:none ~timeout:(Some Time.zero)
+        ~k:(fun _ -> ());
       Engine.run engine)
 
 let epoll_call_cost n =
@@ -32,11 +32,10 @@ let epoll_call_cost n =
       Engine.run engine)
 
 let poll_call_cost n =
-  let engine, host, sockets = Bench_micro.env n in
+  let engine, host, lookup = Bench_micro.env n in
   let interests = List.init n (fun fd -> (fd, Pollmask.pollin)) in
   busy_delta host (fun () ->
-      Poll.wait ~host ~lookup:(Hashtbl.find_opt sockets) ~interests
-        ~timeout:(Some Time.zero) ~k:(fun _ -> ());
+      Poll.wait ~host ~lookup ~interests ~timeout:(Some Time.zero) ~k:(fun _ -> ());
       Engine.run engine)
 
 let devpoll_call_cost ?hints ~warm n =

@@ -4,20 +4,7 @@
 open Cmdliner
 open Sio_loadgen
 
-let kind_of_string = function
-  | "select" -> Ok Experiment.Thttpd_select
-  | "epoll" -> Ok (Experiment.Thttpd_epoll { max_events = 64 })
-  | "poll" -> Ok Experiment.Thttpd_poll
-  | "devpoll" -> Ok (Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 })
-  | "devpoll-nommap" -> Ok (Experiment.Thttpd_devpoll { use_mmap = false; max_events = 64 })
-  | "phhttpd" -> Ok Experiment.Phhttpd
-  | "hybrid" -> Ok Experiment.Hybrid
-  | s -> Error (`Msg (Printf.sprintf "unknown server %S" s))
-
-let server_conv =
-  Arg.conv
-    ( (fun s -> kind_of_string s),
-      fun ppf k -> Experiment.pp_server_kind ppf k )
+let server_conv = Arg.conv (Experiment.kind_of_string, Experiment.pp_server_kind)
 
 let run server rate conns inactive seed verbose =
   let workload =

@@ -64,7 +64,10 @@ let () =
     match Process.lookup_socket fe_proc fe_listen with Some s -> s | None -> assert false
   in
   let loop =
-    match Event_loop.create ~proc:fe_proc ~backend:Event_loop.default_devpoll with
+    match
+      Event_loop.create ~proc:fe_proc
+        ~backend:(Backend.Devpoll { use_mmap = true; max_events = 64 })
+    with
     | Ok l -> l
     | Error `Emfile -> failwith "frontend loop failed"
   in

@@ -29,7 +29,10 @@ let () =
     | None -> assert false
   in
   let loop =
-    match Event_loop.create ~proc ~backend:Event_loop.default_devpoll with
+    match
+      Event_loop.create ~proc
+        ~backend:(Backend.Devpoll { use_mmap = true; max_events = 64 })
+    with
     | Ok l -> l
     | Error `Emfile -> failwith "out of descriptors"
   in

@@ -11,7 +11,9 @@
 open Scalanio
 
 let usage () =
-  Fmt.epr "usage: static_server [select|poll|devpoll|epoll|phhttpd|hybrid] [inactive-count]@.";
+  Fmt.epr
+    "usage: static_server [select|poll|devpoll|devpoll-nommap|epoll|phhttpd|hybrid] \
+     [inactive-count]@.";
   exit 2
 
 let () =
@@ -21,16 +23,7 @@ let () =
       match int_of_string_opt Sys.argv.(2) with Some n when n >= 0 -> n | _ -> usage ()
     else 251
   in
-  let kind =
-    match backend with
-    | "select" -> Experiment.Thttpd_select
-    | "poll" -> Experiment.Thttpd_poll
-    | "devpoll" -> Experiment.Thttpd_devpoll { use_mmap = true; max_events = 64 }
-    | "epoll" -> Experiment.Thttpd_epoll { max_events = 64 }
-    | "phhttpd" -> Experiment.Phhttpd
-    | "hybrid" -> Experiment.Hybrid
-    | _ -> usage ()
-  in
+  let kind = match Experiment.kind_of_string backend with Ok k -> k | Error _ -> usage () in
   let rate = 800 in
   let workload =
     {
@@ -44,50 +37,20 @@ let () =
     Experiment.pp_server_kind kind inactive rate
     workload.Workload.total_connections;
 
-  (* Wire the experiment up by hand so we can peek every second. *)
+  (* Wire the world up by hand so we can peek every second; the server
+     itself starts the way every experiment starts it. *)
   let cfg = Experiment.default_config ~kind ~workload in
   let engine = Engine.create ~seed:11 () in
   let host = Host.create ~engine () in
   let net = Network.create ~engine () in
   let proc = Process.create ~host ~fd_limit:4096 ~name:"www" () in
-  let thttpd_on b =
-    match Thttpd.start ~proc ~backend:b ~config:cfg.Experiment.thttpd () with
-    | Ok t -> (Thttpd.listener t, Thttpd.stats t)
-    | Error `Emfile -> failwith "server start failed"
-  in
-  let server_listener, server_stats =
-    match kind with
-    | Experiment.Thttpd_select -> thttpd_on (Backend.select proc)
-    | Experiment.Thttpd_poll -> thttpd_on (Backend.poll proc)
-    | Experiment.Thttpd_epoll { max_events } -> thttpd_on (Backend.epoll ~max_events proc)
-    | Experiment.Thttpd_devpoll { use_mmap; max_events } ->
-        let b =
-          match Backend.devpoll ~use_mmap ~max_events proc with
-          | Ok b -> b
-          | Error `Emfile -> failwith "/dev/poll open failed"
-        in
-        thttpd_on b
-    | Experiment.Phhttpd ->
-        let t =
-          match Phhttpd.start ~proc ~config:cfg.Experiment.phhttpd () with
-          | Ok t -> t
-          | Error `Emfile -> failwith "server start failed"
-        in
-        (Phhttpd.listener t, Phhttpd.stats t)
-    | Experiment.Hybrid ->
-        let t =
-          match Hybrid.start ~proc ~config:cfg.Experiment.hybrid () with
-          | Ok t -> t
-          | Error `Emfile -> failwith "server start failed"
-        in
-        (Hybrid.listener t, Hybrid.stats t)
-  in
+  let server = Experiment.start_server cfg proc in
   let rng = Rng.split (Engine.rng engine) in
   let pool =
-    Inactive.start ~engine ~net ~listener:server_listener ~workload ~rng ()
+    Inactive.start ~engine ~net ~listener:server.Experiment.listener ~workload ~rng ()
   in
   Engine.run ~until:(Time.s 2) engine;
-  let client = Httperf.start ~engine ~net ~listener:server_listener ~workload () in
+  let client = Httperf.start ~engine ~net ~listener:server.listener ~workload () in
 
   (* Live ticker: one line per simulated second. *)
   let last_replies = ref 0 in
@@ -113,4 +76,4 @@ let () =
   Fmt.pr "@.summary:@.";
   Fmt.pr "%a@." Metrics.pp_row_header ();
   Fmt.pr "%a@." Metrics.pp_row m;
-  Fmt.pr "server: %a@." Sio_httpd.Server_stats.pp server_stats
+  Fmt.pr "server: %a@." Sio_httpd.Server_stats.pp server.stats

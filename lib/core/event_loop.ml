@@ -1,24 +1,11 @@
 open Sio_sim
 open Sio_kernel
 
-type backend_kind =
-  | Select
-  | Poll
-  | Devpoll of { use_mmap : bool; max_events : int }
-  | Epoll of { max_events : int }
-  | Rt_signals of { signo : int; batch : int }
-
-let default_devpoll = Devpoll { use_mmap = true; max_events = 64 }
-
 type watch = { events : Pollmask.t; callback : Pollmask.t -> unit }
-
-type notifier =
-  | Via_backend of Sio_httpd.Backend.t
-  | Via_signals of { signo : int; batch : int }
 
 type t = {
   proc : Process.t;
-  notifier : notifier;
+  backend : Sio_httpd.Backend.t;
   watches : watch Fd_map.t;
   mutable running : bool;
   mutable stopped : bool;
@@ -27,28 +14,13 @@ type t = {
 }
 
 let create ~proc ~backend =
-  let notifier =
-    match backend with
-    | Select -> Ok (Via_backend (Sio_httpd.Backend.select proc))
-    | Poll -> Ok (Via_backend (Sio_httpd.Backend.poll proc))
-    | Epoll { max_events } -> Ok (Via_backend (Sio_httpd.Backend.epoll ~max_events proc))
-    | Devpoll { use_mmap; max_events } -> (
-        match Sio_httpd.Backend.devpoll ~use_mmap ~max_events proc with
-        | Ok b -> Ok (Via_backend b)
-        | Error `Emfile -> Error `Emfile)
-    | Rt_signals { signo; batch } ->
-        if signo < Rt_signal.sigrtmin then
-          invalid_arg "Event_loop.create: signo below SIGRTMIN"
-        else if batch <= 0 then invalid_arg "Event_loop.create: batch must be positive"
-        else Ok (Via_signals { signo; batch })
-  in
-  match notifier with
+  match Sio_httpd.Backend.create backend proc with
   | Error `Emfile -> Error `Emfile
-  | Ok notifier ->
+  | Ok backend ->
       Ok
         {
           proc;
-          notifier;
+          backend;
           watches = Fd_map.create ~initial_capacity:64 ();
           running = false;
           stopped = false;
@@ -56,23 +28,13 @@ let create ~proc ~backend =
           periodics = [];
         }
 
-let backend_name t =
-  match t.notifier with
-  | Via_backend b -> Sio_httpd.Backend.name b
-  | Via_signals { batch; _ } -> if batch > 1 then "rtsig-batched" else "rtsig"
+let backend_name t = Sio_httpd.Backend.name t.backend
 
 let watch t ~fd ~events callback =
   Fd_map.set t.watches fd { events; callback };
-  match t.notifier with
-  | Via_backend b -> Sio_httpd.Backend.add b fd events
-  | Via_signals { signo; _ } -> ignore (Kernel.fcntl_setsig t.proc fd ~signo)
+  Sio_httpd.Backend.add t.backend fd events
 
-let unwatch t fd =
-  if Fd_map.remove t.watches fd then begin
-    match t.notifier with
-    | Via_backend b -> Sio_httpd.Backend.remove b fd
-    | Via_signals _ -> ignore (Kernel.fcntl_clearsig t.proc fd)
-  end
+let unwatch t fd = if Fd_map.remove t.watches fd then Sio_httpd.Backend.remove t.backend fd
 
 let watched_count t = Fd_map.length t.watches
 
@@ -117,27 +79,20 @@ let recovery_poll t ~k =
       dispatch_batch t batch;
       k ())
 
+(* Only an RT-signal backend reports an overflow: flush the queue,
+   then one recovery poll finds whatever the dropped signals named. *)
 let rec loop t =
-  if not t.stopped then begin
-    match t.notifier with
-    | Via_backend b ->
-        Sio_httpd.Backend.wait b ~timeout:(Some (Time.s 10)) ~k:(fun batch ->
-            if not t.stopped then begin
-              dispatch_batch t batch;
-              Kernel.yield t.proc (fun () -> loop t)
-            end)
-    | Via_signals { batch; _ } ->
-        Kernel.sigtimedwait4 t.proc ~max:batch ~timeout:(Some (Time.s 10)) ~k:(fun signals ->
-            if not t.stopped then begin
-              (* Each signal's band is its event mask. *)
-              dispatch_batch t signals;
-              if Ready_batch.overflowed signals then begin
-                ignore (Kernel.flush_signals t.proc);
-                recovery_poll t ~k:(fun () -> Kernel.yield t.proc (fun () -> loop t))
-              end
-              else Kernel.yield t.proc (fun () -> loop t)
-            end)
-  end
+  if not t.stopped then
+    Sio_httpd.Backend.wait t.backend ~timeout:(Some (Time.s 10)) ~k:(fun batch ->
+        if not t.stopped then begin
+          (* An RT signal's band is its event mask. *)
+          dispatch_batch t batch;
+          if Ready_batch.overflowed batch then begin
+            ignore (Kernel.flush_signals t.proc);
+            recovery_poll t ~k:(fun () -> Kernel.yield t.proc (fun () -> loop t))
+          end
+          else Kernel.yield t.proc (fun () -> loop t)
+        end)
 
 let run t =
   if t.running then invalid_arg "Event_loop.run: already running";

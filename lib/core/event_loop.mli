@@ -2,16 +2,17 @@
     paper's contribution packaged the way a downstream application
     would consume it.
 
-    Register a callback per descriptor, pick a notification backend,
-    and run. The three backends correspond to the paper's three
-    mechanisms:
+    Register a callback per descriptor, pick a notification mechanism
+    (one {!Sio_httpd.Backend.kind}), and run:
 
+    - [Select]: select(2), with its FD_SETSIZE wall;
     - [Poll]: classic poll(); the interest array lives in user space
       and is re-submitted on every wait. Simple, legacy-compatible,
       O(interest set) per wait.
     - [Devpoll]: the paper's /dev/poll with driver hints and
       (optionally) the shared result mapping; interest changes are
       incremental, waits cost O(ready).
+    - [Epoll]: the ready list this line of work became; O(ready).
     - [Rt_signals]: F_SETSIG delivery picked up with sigwaitinfo (or
       the batching sigtimedwait4 when [batch > 1]). On queue overflow
       the loop recovers exactly as the paper prescribes: flush, one
@@ -25,20 +26,11 @@
 open Sio_sim
 open Sio_kernel
 
-type backend_kind =
-  | Select  (** select(2): FD_SETSIZE-limited, the pre-poll baseline *)
-  | Poll
-  | Devpoll of { use_mmap : bool; max_events : int }
-  | Epoll of { max_events : int }
-      (** ready-list notification: the post-paper mechanism *)
-  | Rt_signals of { signo : int; batch : int }
-
-val default_devpoll : backend_kind
-(** [Devpoll { use_mmap = true; max_events = 64 }]. *)
-
 type t
 
-val create : proc:Process.t -> backend:backend_kind -> (t, [ `Emfile ]) result
+val create : proc:Process.t -> backend:Sio_httpd.Backend.kind -> (t, [ `Emfile ]) result
+(** Raises [Invalid_argument] on an [Rt_signals] kind with a signo
+    below SIGRTMIN or a non-positive batch. *)
 
 val backend_name : t -> string
 

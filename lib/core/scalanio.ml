@@ -4,8 +4,9 @@
 
     + builds a simulated world — {!Engine}, {!Host}, {!Network},
       {!Process};
-    + creates an {!Event_loop} over one of the three notification
-      backends the paper studies (poll, /dev/poll, RT signals);
+    + creates an {!Event_loop} over one {!Backend.kind}: the paper's
+      three mechanisms (poll, /dev/poll, RT signals) or their
+      neighbours select and epoll;
     + watches descriptors and runs.
 
     The full benchmark study lives in {!Figures} (one entry per figure

@@ -34,6 +34,7 @@ type mode = Server_core.mode = Signals | Polling
 
 type state = {
   config : config;
+  signals : Backend.t; (* F_SETSIG to [config.signo], batch [sigtimedwait4_batch] *)
   backend : Backend.t; (* /dev/poll state, maintained in both modes *)
   mutable mode : mode;
   mutable full_batch_streak : int;
@@ -58,7 +59,7 @@ let switch_to_signals core =
   flush core;
   (* Drain anything that became ready between the flush and now; its
      edges predate the flush so no signal will ever announce it. *)
-  Server_core.wait_backend core st.backend ~max:max_int ~timeout:Time.zero
+  Server_core.wait core st.backend ~max:max_int ~timeout:Time.zero
     ~k:(fun core _ ->
       st.mode <- Signals;
       Server_core.resume core)
@@ -96,7 +97,7 @@ let policy =
       (fun core fd ->
         let st = Server_core.state core in
         (* Both registrations, kept concurrently: the cheap switch. *)
-        ignore (Kernel.fcntl_setsig (Server_core.proc core) fd ~signo:st.config.signo);
+        Backend.add st.signals fd Pollmask.pollin;
         Backend.add st.backend fd Pollmask.pollin);
     read_on_accept = true;
     charge_event = ignore;
@@ -111,11 +112,8 @@ let policy =
       (fun core timeout ->
         let st = Server_core.state core in
         match st.mode with
-        | Signals ->
-            Server_core.wait_signals core ~max:st.config.sigtimedwait4_batch ~timeout
-              ~k:after_signals
-        | Polling ->
-            Server_core.wait_backend core st.backend ~max:max_int ~timeout ~k:after_poll);
+        | Signals -> Server_core.wait core st.signals ~max:max_int ~timeout ~k:after_signals
+        | Polling -> Server_core.wait core st.backend ~max:max_int ~timeout ~k:after_poll);
   }
 
 let start ~proc ?(config = default_config) () =
@@ -126,9 +124,12 @@ let start ~proc ?(config = default_config) () =
       match Backend.devpoll ~max_events:config.max_events proc with
       | Error `Emfile -> Error `Emfile
       | Ok backend ->
-          ignore (Kernel.fcntl_setsig proc listen_fd ~signo:config.signo);
+          let signals =
+            Backend.rt_signals ~signo:config.signo ~batch:config.sigtimedwait4_batch proc
+          in
+          Backend.add signals listen_fd Pollmask.pollin;
           Backend.add backend listen_fd Pollmask.pollin;
-          Ok { config; backend; mode = Signals; full_batch_streak = 0 })
+          Ok { config; signals; backend; mode = Signals; full_batch_streak = 0 })
 
 let listener = Server_core.listener
 let stats = Server_core.stats

@@ -40,6 +40,7 @@ type phase = Signal_worker | Handing_off | Sibling of Backend.t
 type state = {
   config : config;
   worker : Process.t; (* the signal worker thread *)
+  signals : Backend.t; (* the worker's F_SETSIG routing, one signal per wait *)
   sibling : Process.t; (* the poll sibling (a Linux thread = own pid) *)
   mutable phase : phase;
 }
@@ -116,21 +117,15 @@ let overflow_recovery core =
 let after_signals core batch =
   if Ready_batch.overflowed batch then overflow_recovery core else Server_core.resume core
 
-(* Only the poll sibling keeps an interest set to update. *)
-let on_sibling f core fd =
-  match (Server_core.state core).phase with
-  | Sibling b -> f b fd
-  | Signal_worker | Handing_off -> ()
+(* The backend serving the connections: the worker's RT signals until
+   the handoff completes, the poll sibling's after it. *)
+let serving core =
+  let st = Server_core.state core in
+  match st.phase with Sibling b -> b | Signal_worker | Handing_off -> st.signals
 
 let policy =
   {
-    Server_core.register =
-      (fun core fd ->
-        let st = Server_core.state core in
-        match st.phase with
-        | Sibling b -> Backend.add b fd Pollmask.pollin
-        | Signal_worker | Handing_off ->
-            ignore (Kernel.fcntl_setsig st.worker fd ~signo:st.config.signo));
+    Server_core.register = (fun core fd -> Backend.add (serving core) fd Pollmask.pollin);
     read_on_accept = true;
     (* The unfinished server's connection bookkeeping walks state that
        grows with every open connection — the cache-pressure cost the
@@ -143,21 +138,24 @@ let policy =
              (Server_core.connection_count core)));
     charge_stale = true;
     (* In signal mode F_SETSIG already delivers POLLOUT edges through
-       the same queue; the poll sibling must switch its recorded
-       interest to writable. *)
-    want_pollout = on_sibling (fun b fd -> Backend.modify b fd Pollmask.pollout);
-    forget = on_sibling Backend.remove;
+       the same queue, so the modify is a no-op; the poll sibling must
+       switch its recorded interest to writable. *)
+    want_pollout = (fun core fd -> Backend.modify (serving core) fd Pollmask.pollout);
+    (* Only the poll sibling keeps an interest set to shrink. *)
+    forget =
+      (fun core fd ->
+        match (Server_core.state core).phase with
+        | Sibling b -> Backend.remove b fd
+        | Signal_worker | Handing_off -> ());
     wait =
       (fun core timeout ->
         let st = Server_core.state core in
         match st.phase with
         | Sibling backend ->
-            Server_core.wait_backend core backend ~max:st.config.max_events_per_iter
-              ~timeout ~k:(fun core _ -> Server_core.resume core)
+            Server_core.wait core backend ~max:st.config.max_events_per_iter ~timeout
+              ~k:(fun core _ -> Server_core.resume core)
         | Signal_worker | Handing_off ->
-            (* One event per syscall: sigwaitinfo semantics with the
-               idle sweep's timeout. *)
-            Server_core.wait_signals core ~max:1 ~timeout ~k:after_signals);
+            Server_core.wait core st.signals ~max:max_int ~timeout ~k:after_signals);
   }
 
 let start ~proc ?(config = default_config) () =
@@ -171,8 +169,11 @@ let start ~proc ?(config = default_config) () =
           ~name:(Process.name proc ^ "-poll-sibling")
           ()
       in
-      ignore (Kernel.fcntl_setsig proc listen_fd ~signo:config.signo);
-      Ok { config; worker = proc; sibling; phase = Signal_worker })
+      (* One event per syscall: sigwaitinfo semantics with the idle
+         sweep's timeout. *)
+      let signals = Backend.rt_signals ~signo:config.signo ~batch:1 proc in
+      Backend.add signals listen_fd Pollmask.pollin;
+      Ok { config; worker = proc; signals; sibling; phase = Signal_worker })
 
 let listener = Server_core.listener
 let stats = Server_core.stats

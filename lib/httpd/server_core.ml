@@ -131,17 +131,10 @@ let on_batch t batch =
     k t batch
   end
 
-let wait_backend t backend ~max ~timeout ~k =
+let wait t backend ~max ~timeout ~k =
   t.max <- max;
   t.k <- k;
   Backend.wait backend ~timeout:(Some timeout) ~k:t.on_batch
-
-(* A signal batch is dispatched whole, in delivery order; an overflow
-   SIGIO ahead of it is left to [k] (see {!Ready_batch.overflowed}). *)
-let wait_signals t ~max ~timeout ~k =
-  t.max <- max_int;
-  t.k <- k;
-  Kernel.sigtimedwait4 t.proc ~max ~timeout:(Some timeout) ~k:t.on_batch
 
 let no_k _ _ = ()
 

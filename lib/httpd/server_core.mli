@@ -18,7 +18,7 @@ type 'p t
 
 and 'p policy = {
   register : 'p t -> int -> unit;
-      (** a new descriptor: backend add, F_SETSIG, or both *)
+      (** a new descriptor: add it to the policy's backends *)
   read_on_accept : bool;
       (** read right after accept: data that arrived before F_SETSIG
           raises no signal *)
@@ -47,17 +47,13 @@ val start :
 (** Listens, runs [setup] on the listening descriptor (open what the
     policy needs, register the listener), and starts the loop. *)
 
-val wait_backend :
+val wait :
   'p t -> Backend.t -> max:int -> timeout:Time.t -> k:('p t -> Ready_batch.t -> unit) -> unit
 (** Wait on the backend; unless stopped, dispatch at most [max] events
-    and pass the whole batch to [k]. The batch is the backend's (valid
+    in order and pass the whole batch to [k], whose
+    {!Ready_batch.overflowed} tells whether an RT-signal backend's
+    overflow SIGIO came with it. The batch is the backend's (valid
     until its next wait). *)
-
-val wait_signals :
-  'p t -> max:int -> timeout:Time.t -> k:('p t -> Ready_batch.t -> unit) -> unit
-(** sigtimedwait4; unless stopped, dispatch every signal in order and
-    pass the batch to [k], whose {!Ready_batch.overflowed} tells
-    whether the overflow SIGIO came with it. *)
 
 val resume : 'p t -> unit
 (** Sweep if due, then yield and wait again. *)

@@ -40,7 +40,7 @@ let policy =
     wait =
       (fun core timeout ->
         let { backend; max_events_per_iter } = Server_core.state core in
-        Server_core.wait_backend core backend ~max:max_events_per_iter ~timeout
+        Server_core.wait core backend ~max:max_events_per_iter ~timeout
           ~k:(fun core _ -> Server_core.resume core));
   }
 

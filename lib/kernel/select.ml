@@ -185,7 +185,6 @@ module Sset = struct
     else remove s fd
 
   let mem s fd = Fd_map.mem s.members fd
-  let interest_count s = Fd_set.cardinal s.read
   let active_fds s = List.map fst (Fd_map.to_list s.active)
 
   (* O(active) scan: the bitmap-walk cost over 0..nfds-1 was already

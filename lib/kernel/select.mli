@@ -50,9 +50,6 @@ module Sset : sig
   val remove : sset -> int -> unit
   val mem : sset -> int -> bool
 
-  val interest_count : sset -> int
-  (** Cardinality of the read set (thttpd's interest-count proxy). *)
-
   val active_fds : sset -> int list
   (** Non-idle-certified fds, ascending; test hook for the churn
       equivalence property. *)

@@ -130,34 +130,8 @@ let merge_metrics ~target_rate ~duration per_shard rate_series =
       add_errors ~into:errors o.Experiment.metrics.Metrics.errors;
       Histogram.merge_into ~dst:latency o.Experiment.metrics.Metrics.latency)
     per_shard;
-  let stats = Stats.create () in
-  List.iter (Stats.add stats) (sum_rate_series rate_series);
-  (* Same short-run fallback as [Httperf.metrics]: no complete
-     sampling interval, but completions happened. *)
-  if Stats.count stats = 0 && !completed > 0 then begin
-    let duration_s = Time.to_sec_f duration in
-    if duration_s > 0. then
-      Stats.add stats (float_of_int !completed /. duration_s)
-  end;
-  let have = Stats.count stats > 0 in
-  {
-    Metrics.target_rate;
-    attempted = !attempted;
-    completed = !completed;
-    errors;
-    reply_rate_avg = (if have then Stats.mean stats else 0.);
-    reply_rate_sd = (if have then Stats.stddev stats else 0.);
-    reply_rate_min = (if have then Stats.min stats else 0.);
-    reply_rate_max = (if have then Stats.max stats else 0.);
-    error_percent =
-      (if !attempted = 0 then 0.
-       else
-         100.
-         *. float_of_int (Metrics.total_errors errors)
-         /. float_of_int !attempted);
-    latency;
-    duration;
-  }
+  Metrics.make ~target_rate ~attempted:!attempted ~completed:!completed ~errors ~latency
+    ~duration (sum_rate_series rate_series)
 
 let run ?pool cfg =
   if cfg.shards <= 0 then invalid_arg "Cluster.run: shards must be positive";

@@ -19,6 +19,16 @@ let pp_server_kind ppf = function
   | Phhttpd -> Fmt.string ppf "phhttpd"
   | Hybrid -> Fmt.string ppf "hybrid"
 
+let kind_of_string = function
+  | "select" -> Ok Thttpd_select
+  | "poll" -> Ok Thttpd_poll
+  | "devpoll" -> Ok (Thttpd_devpoll { use_mmap = true; max_events = 64 })
+  | "devpoll-nommap" -> Ok (Thttpd_devpoll { use_mmap = false; max_events = 64 })
+  | "epoll" -> Ok (Thttpd_epoll { max_events = 64 })
+  | "phhttpd" -> Ok Phhttpd
+  | "hybrid" -> Ok Hybrid
+  | s -> Error (`Msg (Printf.sprintf "unknown server %S" s))
+
 type config = {
   kind : server_kind;
   workload : Workload.t;
@@ -104,17 +114,19 @@ let start_server cfg proc =
         }
     | Error `Emfile -> failwith ("Experiment: " ^ name ^ " failed to start")
   in
-  let thttpd label backend =
-    started ("thttpd+" ^ label) (fun _ -> label) (Thttpd.start ~proc ~backend ~config:cfg.thttpd ())
+  let thttpd label kind =
+    match Backend.create kind proc with
+    | Ok backend ->
+        started ("thttpd+" ^ label) (fun _ -> label)
+          (Thttpd.start ~proc ~backend ~config:cfg.thttpd ())
+    | Error `Emfile -> failwith ("Experiment: " ^ label ^ " open failed")
   in
   match cfg.kind with
-  | Thttpd_select -> thttpd "select" (Backend.select proc)
-  | Thttpd_poll -> thttpd "poll" (Backend.poll proc)
-  | Thttpd_epoll { max_events } -> thttpd "epoll" (Backend.epoll ~max_events proc)
-  | Thttpd_devpoll { use_mmap; max_events } -> (
-      match Backend.devpoll ~use_mmap ~max_events proc with
-      | Ok backend -> thttpd "devpoll" backend
-      | Error `Emfile -> failwith "Experiment: /dev/poll open failed")
+  | Thttpd_select -> thttpd "select" Backend.Select
+  | Thttpd_poll -> thttpd "poll" Backend.Poll
+  | Thttpd_epoll { max_events } -> thttpd "epoll" (Backend.Epoll { max_events })
+  | Thttpd_devpoll { use_mmap; max_events } ->
+      thttpd "devpoll" (Backend.Devpoll { use_mmap; max_events })
   | Phhttpd ->
       started "phhttpd"
         (fun t -> Server_core.string_of_mode (Phhttpd.mode t))

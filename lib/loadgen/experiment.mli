@@ -19,6 +19,11 @@ type server_kind =
 
 val pp_server_kind : Format.formatter -> server_kind -> unit
 
+val kind_of_string : string -> (server_kind, [ `Msg of string ]) result
+(** The command-line names: [select], [poll], [devpoll],
+    [devpoll-nommap], [epoll] (thttpd on that mechanism, batch 64),
+    [phhttpd] and [hybrid]. *)
+
 type config = {
   kind : server_kind;
   workload : Workload.t;
@@ -67,6 +72,17 @@ type outcome = {
           context for the memory figure, nondeterministic — report in
           JSON only, never in fingerprinted output *)
 }
+
+type running_server = {
+  listener : Socket.t;
+  stats : Server_stats.t;
+  stop : unit -> unit;
+  mode : unit -> string;  (** the mechanism, or phhttpd/hybrid's current mode *)
+}
+
+val start_server : config -> Process.t -> running_server
+(** Starts [config.kind] on [proc] with the config's server settings.
+    Raises [Failure] when the server cannot open its descriptors. *)
 
 val run : config -> outcome
 

@@ -199,29 +199,7 @@ let fds_in_use t = t.fds
 let ports_in_use t = Port_pool.in_use t.ports
 
 let metrics t ~t_end =
-  let rates = Sampler.rates t.sampler ~until:t_end in
-  let stats = Stats.create () in
-  List.iter (Stats.add stats) rates;
-  (* Short runs (under one sampling interval) have no complete
-     interval: fall back to the run-wide average so tiny test
-     workloads still report a meaningful rate. *)
-  if Stats.count stats = 0 && t.completed > 0 then begin
-    let duration_s = Time.to_sec_f (Time.sub t_end t.start_time) in
-    if duration_s > 0. then Stats.add stats (float_of_int t.completed /. duration_s)
-  end;
-  let have = Stats.count stats > 0 in
-  {
-    Metrics.target_rate = t.w.Workload.request_rate;
-    attempted = t.attempted;
-    completed = t.completed;
-    errors = t.errors;
-    reply_rate_avg = (if have then Stats.mean stats else 0.);
-    reply_rate_sd = (if have then Stats.stddev stats else 0.);
-    reply_rate_min = (if have then Stats.min stats else 0.);
-    reply_rate_max = (if have then Stats.max stats else 0.);
-    error_percent =
-      (if t.attempted = 0 then 0.
-       else 100. *. float_of_int (Metrics.total_errors t.errors) /. float_of_int t.attempted);
-    latency = t.latency;
-    duration = Time.sub t_end t.start_time;
-  }
+  Metrics.make ~target_rate:t.w.Workload.request_rate ~attempted:t.attempted
+    ~completed:t.completed ~errors:t.errors ~latency:t.latency
+    ~duration:(Time.sub t_end t.start_time)
+    (Sampler.rates t.sampler ~until:t_end)

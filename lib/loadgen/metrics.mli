@@ -28,6 +28,19 @@ type t = {
   duration : Time.t;  (** measurement window *)
 }
 
+val make :
+  target_rate:int ->
+  attempted:int ->
+  completed:int ->
+  errors:errors ->
+  latency:Histogram.t ->
+  duration:Time.t ->
+  float list ->
+  t
+(** The run's metrics from its per-interval reply rates over the
+    measurement window [duration]. With no complete interval but some
+    completions, the rate is the run-wide average instead. *)
+
 val median_latency_ms : t -> float
 (** Median connection time in milliseconds (Fig 14), 0 when no
     connection completed. *)

@@ -1,4 +1,5 @@
-(* Tests of the public Scalanio event loop across its three backends. *)
+(* Tests of the public Scalanio event loop across every notification
+   mechanism. *)
 
 open Sio_sim
 open Sio_kernel
@@ -15,12 +16,19 @@ let install_sock proc host =
   | Ok fd -> (fd, s)
   | Error `Emfile -> Alcotest.fail "install failed"
 
+let devpoll_kind = Sio_httpd.Backend.Devpoll { use_mmap = true; max_events = 64 }
+
 let backends =
-  [
-    ("poll", Scalanio.Event_loop.Poll);
-    ("devpoll", Scalanio.Event_loop.default_devpoll);
-    ("rtsig", Scalanio.Event_loop.Rt_signals { signo = Rt_signal.sigrtmin + 1; batch = 1 });
-  ]
+  Sio_httpd.Backend.
+    [
+      ("select", Select);
+      ("poll", Poll);
+      ("devpoll", devpoll_kind);
+      ("devpoll-nommap", Devpoll { use_mmap = false; max_events = 64 });
+      ("epoll", Epoll { max_events = 64 });
+      ("rtsig", Rt_signals { signo = Rt_signal.sigrtmin + 1; batch = 1 });
+      ("rtsig-batched", Rt_signals { signo = Rt_signal.sigrtmin + 1; batch = 8 });
+    ]
 
 let test_dispatch_on_all_backends () =
   List.iter
@@ -43,6 +51,7 @@ let test_dispatch_on_all_backends () =
         (Engine.after engine (Time.ms 5) (fun () ->
              ignore (Socket.deliver sock ~bytes_len:10 ~payload:"x")));
       Engine.run ~until:(Time.ms 100) engine;
+      Alcotest.(check string) "backend name" name (Scalanio.Event_loop.backend_name loop);
       Alcotest.(check int) (name ^ ": callback fired once") 1 !fired;
       Scalanio.Event_loop.stop loop)
     backends
@@ -51,7 +60,7 @@ let test_unwatch_stops_dispatch () =
   let engine, host, proc = mk_world () in
   let fd, sock = install_sock proc host in
   let loop =
-    match Scalanio.Event_loop.create ~proc ~backend:Scalanio.Event_loop.default_devpoll with
+    match Scalanio.Event_loop.create ~proc ~backend:devpoll_kind with
     | Ok l -> l
     | Error `Emfile -> Alcotest.fail "create failed"
   in
@@ -68,7 +77,7 @@ let test_unwatch_stops_dispatch () =
 let test_timers () =
   let engine, _, proc = mk_world () in
   let loop =
-    match Scalanio.Event_loop.create ~proc ~backend:Scalanio.Event_loop.Poll with
+    match Scalanio.Event_loop.create ~proc ~backend:Sio_httpd.Backend.Poll with
     | Ok l -> l
     | Error `Emfile -> Alcotest.fail "create failed"
   in
@@ -94,7 +103,7 @@ let test_rtsig_overflow_recovery () =
   let loop =
     match
       Scalanio.Event_loop.create ~proc
-        ~backend:(Scalanio.Event_loop.Rt_signals { signo = Rt_signal.sigrtmin + 2; batch = 1 })
+        ~backend:(Sio_httpd.Backend.Rt_signals { signo = Rt_signal.sigrtmin + 2; batch = 1 })
     with
     | Ok l -> l
     | Error `Emfile -> Alcotest.fail "create failed"
@@ -133,8 +142,7 @@ let test_recovery_dispatch_order_invariant () =
     let loop =
       match
         Scalanio.Event_loop.create ~proc
-          ~backend:
-            (Scalanio.Event_loop.Rt_signals { signo = Rt_signal.sigrtmin + 2; batch = 8 })
+          ~backend:(Sio_httpd.Backend.Rt_signals { signo = Rt_signal.sigrtmin + 2; batch = 8 })
       with
       | Ok l -> l
       | Error `Emfile -> Alcotest.fail "create failed"
@@ -172,17 +180,18 @@ let test_recovery_dispatch_order_invariant () =
   Alcotest.(check (list int)) "reverse insertion: same dispatch order" o1 o2;
   Alcotest.(check (list int)) "shuffled insertion: same dispatch order" o1 o3
 
+(* The RT-signal parameters are checked where the backend is built. *)
 let test_create_validation () =
   let _, _, proc = mk_world () in
-  let raised =
-    try
-      ignore
-        (Scalanio.Event_loop.create ~proc
-           ~backend:(Scalanio.Event_loop.Rt_signals { signo = 5; batch = 1 }));
-      false
-    with Invalid_argument _ -> true
+  let rejected signo batch =
+    match Sio_httpd.Backend.create (Sio_httpd.Backend.Rt_signals { signo; batch }) proc with
+    | Ok _ | Error `Emfile -> false
+    | exception Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "bad signo rejected" true raised
+  Alcotest.(check bool) "bad signo rejected" true (rejected 5 1);
+  Alcotest.(check bool) "zero batch rejected" true (rejected (Rt_signal.sigrtmin + 1) 0);
+  Alcotest.(check bool) "valid signo and batch accepted" false
+    (rejected (Rt_signal.sigrtmin + 1) 8)
 
 let suite =
   [
