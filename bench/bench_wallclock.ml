@@ -19,7 +19,7 @@ let parse_args () =
       ("--scale", Arg.Set_float scale, "F fraction of 35000 connections per point (default 0.1)");
       ( "--jobs",
         Arg.Set_int jobs,
-        "N pool size for the parallel pass (default 0 = min(cores-1, points))" );
+        "N pool size for the parallel pass, at least 2 (default 0 = min(cores-1, points))" );
       ("--out", Arg.Set_string out, "PATH where to write the JSON report");
     ]
   in
@@ -86,32 +86,18 @@ let () =
   let seq, seq_s = timed (fun () -> run None) in
   Fmt.epr "  sequential: %.2fs@." seq_s;
   let recommended = Domain.recommended_domain_count () in
-  (* A single-core machine can't run a meaningful parallel leg: a
-     1-domain pool measures queue overhead, not parallelism. Keep the
-     byte-identity check by re-running the sequential leg instead. *)
-  let skipped = jobs = 0 && recommended = 1 in
-  let (par, par_s), n_jobs =
-    if skipped then begin
-      Fmt.epr "  parallel leg skipped (recommended_domains = 1); re-running sequentially@.";
-      (timed (fun () -> run None), 1)
-    end
-    else begin
-      (* Auto-sizing caps the pool at the point count: domains beyond
-         the number of sweep points would only sit idle. *)
-      let size =
-        if jobs = 0 then Stdlib.max 1 (Stdlib.min (recommended - 1) points) else jobs
-      in
-      let pool = Sio_sim.Domain_pool.create ~size () in
-      let n_jobs = Sio_sim.Domain_pool.size pool in
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Sio_sim.Domain_pool.shutdown pool)
-          (fun () -> timed (fun () -> run (Some pool)))
-      in
-      Fmt.epr "  parallel (%d domains): %.2fs@." n_jobs (snd r);
-      (r, n_jobs)
-    end
+  (* At least two domains whatever the core count: a 1-domain pool
+     never runs two simulations at once, so it could not show a
+     cross-domain race. Auto-sizing caps the pool at the point count:
+     domains beyond the number of sweep points would only sit idle. *)
+  let size = Stdlib.max 2 (if jobs = 0 then Stdlib.min (recommended - 1) points else jobs) in
+  let pool = Sio_sim.Domain_pool.create ~size () in
+  let par, par_s =
+    Fun.protect
+      ~finally:(fun () -> Sio_sim.Domain_pool.shutdown pool)
+      (fun () -> timed (fun () -> run (Some pool)))
   in
+  Fmt.epr "  parallel (%d domains): %.2fs@." size par_s;
   let identical = String.equal (fingerprint seq) (fingerprint par) in
   let speedup = if par_s > 0. then seq_s /. par_s else 0. in
   let oc = open_out out in
@@ -124,7 +110,6 @@ let () =
   "seq_jobs": 1,
   "parallel_jobs": %d,
   "recommended_domains": %d,
-  "parallel_skipped": %b,
   "sequential_s": %.3f,
   "parallel_s": %.3f,
   "speedup": %.2f,
@@ -132,7 +117,7 @@ let () =
 }
 |}
     (String.concat ", " (List.map (Printf.sprintf "%S") figure_ids))
-    points scale n_jobs recommended skipped seq_s par_s speedup identical;
+    points scale size recommended seq_s par_s speedup identical;
   close_out oc;
   Fmt.epr "  speedup: %.2fx, identical: %b -> wrote %s@." speedup identical out;
   if not identical then begin

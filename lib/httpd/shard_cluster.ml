@@ -32,8 +32,6 @@ let policy_name = function
   | Hash_tuple -> "hash"
   | Least_loaded -> "least-loaded"
 
-let pp_policy ppf p = Fmt.string ppf (policy_name p)
-
 (* The client population steering sees. [tuples = 0] models the
    benchmark default — every connection arrives from a distinct
    ephemeral 4-tuple, so hashing spreads load near-uniformly.

@@ -27,7 +27,6 @@ type policy =
           connections, lowest index on ties *)
 
 val policy_name : policy -> string
-val pp_policy : Format.formatter -> policy -> unit
 
 type population = { tuples : int; skew : float }
 (** The client population steering sees. [tuples = 0]: every
@@ -37,10 +36,6 @@ type population = { tuples : int; skew : float }
     scenario where tuple-hashing polarises. *)
 
 val uniform_population : population
-
-val tuple_keys : population:population -> seed:int -> int -> int array
-(** [tuple_keys ~population ~seed n] is the tuple key of each of [n]
-    connections, deterministic in (population, seed). *)
 
 val route :
   policy:policy ->

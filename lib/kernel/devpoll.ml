@@ -25,9 +25,7 @@ type t = {
          hint_check and bump hint_skips. Scans probe only the marked
          interests on the host and charge the idle majority
          analytically. *)
-  wq : Socket.waiter Wait_queue.t; (* sleepers inside dp_poll *)
-  mutable wake_mask : Pollmask.t; (* the edge [wake_one] passes on *)
-  mutable wake_one : Socket.waiter -> unit;
+  sleepers : Wait_slot.queue; (* tasks sleeping inside dp_poll *)
   slot : Wait_slot.t; (* DP_POLL results and the sleeping caller *)
   (* Walk state of the scan in progress, kept here rather than in
      refs the walk's callback would capture: the callback is closed,
@@ -42,21 +40,6 @@ type t = {
 }
 
 let check_open t = if t.closed then invalid_arg "Devpoll: instance is closed"
-
-(* Wake any task sleeping in dp_poll on this instance. *)
-let wake_sleepers t mask =
-  if not (Wait_queue.is_empty t.wq) then begin
-    t.wake_mask <- mask;
-    ignore (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy t.wake_one)
-  end
-
-(* One woken sleeper: charged, then handed the edge being posted. Built
-   once per instance so a wakeup allocates no closure. *)
-let wake_one t w =
-  let counters = t.host.Host.counters in
-  counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-  ignore (Host.charge t.host t.host.Host.costs.Cost_model.wait_queue_wake);
-  w.Socket.wake t.wake_mask
 
 let mark_active t (interest : Interest_table.interest) =
   if not interest.active then begin
@@ -79,7 +62,7 @@ let subscribe t (interest : Interest_table.interest) (sock : Socket.t) =
   let token =
     Socket.subscribe sock (fun mask ->
         interest.hint <- Pollmask.union interest.hint mask;
-        wake_sleepers t mask)
+        Wait_slot.wake_queue t.sleepers mask)
   in
   let wtoken = Socket.add_watcher sock (fun () -> mark_active t interest) in
   Socket.attach sock ~key:t.key (Dp_sub { token; wtoken });
@@ -135,11 +118,8 @@ let change t fd events =
 
 let enter_write t =
   check_open t;
-  let costs = t.host.Host.costs in
-  let counters = t.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  ignore (Host.charge t.host costs.Cost_model.backmap_write_lock)
+  Host.enter_syscall t.host;
+  ignore (Host.charge t.host t.host.Host.costs.Cost_model.backmap_write_lock)
 
 let write t entries =
   enter_write t;
@@ -164,8 +144,6 @@ let release_result_map t =
   t.result_slots <- None
 
 let has_result_map t = t.result_slots <> None
-
-let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
 
 let consult_driver (interest : Interest_table.interest) sock =
   let st = Socket.driver_poll sock in
@@ -199,7 +177,7 @@ let probe t (interest : Interest_table.interest) =
           else if not interest.cache_valid then consult_driver interest sock
           else if
             Pollmask.is_empty
-              (Pollmask.inter interest.cached (Pollmask.union interest.events forced))
+              (Pollmask.inter interest.cached (Pollmask.union interest.events Pollmask.forced))
           then begin
             (* Cached "not ready" with no hint: trust it. *)
             counters.Host.hint_skips <- counters.Host.hint_skips + 1;
@@ -211,7 +189,7 @@ let probe t (interest : Interest_table.interest) =
             consult_driver interest sock
         end
       in
-      let revents = Pollmask.inter st (Pollmask.union interest.events forced) in
+      let revents = Pollmask.inter st (Pollmask.union interest.events Pollmask.forced) in
       (* Idle certification: a not-ready result under hinting leaves
          hint empty and cache not-ready, so until the socket's watcher
          fires, re-probing would be exactly hash + hint-check + skip. *)
@@ -232,17 +210,6 @@ let charge_idle t count =
     counters.Host.hint_skips <- counters.Host.hint_skips + count
   end
 
-(* Fill the reusable result buffer, stopping — probes and table walk
-   both — the moment it is full. Returns the ready count; the buffer
-   stays valid until the next scan on this instance.
-
-   Host cost is O(active): when nothing is active the whole table is
-   one analytic charge; otherwise the walk skips idle-certified
-   entries (counting them for the bulk charge) and exits as soon as
-   the last active interest has been probed, charging the unvisited
-   tail in bulk. Charged nanoseconds and counters are identical to the
-   full walk — only the charge *order* within the scan differs, and
-   Cpu.consume is additive with no engine interleaving mid-scan. *)
 (* Fill the wait slot's batch, stopping — probes and table walk both
    — the moment it is full. Returns the ready count; the batch stays
    valid until the next scan on this instance.
@@ -300,9 +267,7 @@ let create ~host ~lookup =
       table = Interest_table.create ();
       subs = Fd_map.create ~initial_capacity:64 ();
       active = 0;
-      wq = Wait_queue.create ();
-      wake_mask = Pollmask.empty;
-      wake_one = ignore;
+      sleepers = Wait_slot.queue host;
       slot = Wait_slot.create ~host;
       batch = Ready_batch.create ~initial_capacity:1 ();
       max_results = 1;
@@ -314,11 +279,10 @@ let create ~host ~lookup =
     }
   in
   let costs = host.Host.costs in
-  t.wake_one <- wake_one t;
   Wait_slot.set_hooks t.slot
     ~rescan:(fun ~cap batch -> scan t ~max_results:cap batch)
-    ~sleep:(fun w -> Wait_queue.register t.wq w)
-    ~unsleep:(fun w -> ignore (Wait_queue.unregister t.wq w))
+    ~sleep:(fun w -> Wait_slot.sleep_on_queue t.sleepers w)
+    ~unsleep:(fun w -> Wait_slot.unsleep_queue t.sleepers w)
     ~copyout:(fun batch ->
       (* With the shared mapping there is nothing to copy out. *)
       if t.result_slots = None then
@@ -331,27 +295,21 @@ let create ~host ~lookup =
 let[@complexity "O(active)"] dp_poll t ~max_results ~timeout ~k =
   check_open t;
   if max_results <= 0 then invalid_arg "Devpoll.dp_poll: max_results must be positive";
-  let costs = t.host.Host.costs in
-  let counters = t.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
   let max_results =
     match t.result_slots with
     | Some slots -> Stdlib.min max_results slots
     | None -> max_results
   in
-  let slot = Wait_slot.begin_call t.slot ~cap:max_results ~k in
-  if scan t ~max_results (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
-  else
-    match timeout with
-    | Some x when x <= Time.zero -> Wait_slot.complete slot
-    | _ ->
-        ignore (Host.charge t.host costs.Cost_model.wait_queue_register);
-        Wait_slot.block slot ~timeout
+  let slot = Wait_slot.enter t.slot ~cap:max_results ~k in
+  if Wait_slot.must_sleep slot ~ready:(scan t ~max_results (Wait_slot.batch slot)) ~timeout
+  then begin
+    (* One registration on the instance's queue, charged once per
+       call: a rescan that sleeps again does not pay it twice. *)
+    ignore (Host.charge t.host t.host.Host.costs.Cost_model.wait_queue_register);
+    Wait_slot.block slot
+  end
 
 let interest_count t = Interest_table.length t.table
-let find_interest t fd = Interest_table.find t.table fd
-let active_count t = t.active
 
 let active_fds t =
   List.sort compare

@@ -64,12 +64,6 @@ val dp_poll :
     valid until its next DP_POLL (see {!Wait_slot}). *)
 
 val interest_count : t -> int
-val find_interest : t -> int -> Interest_table.interest option
-
-val active_count : t -> int
-(** Size of the incremental ready set: interests not currently
-    idle-certified. Everything else is charged analytically by scans
-    (host cost O(active), identical charged nanoseconds). *)
 
 val active_fds : t -> int list
 (** The non-idle-certified fds in ascending order; test hook for the

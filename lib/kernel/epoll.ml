@@ -60,9 +60,7 @@ type t = {
   key : int; (* attach key naming this instance's interests *)
   watched : Socket.t Fd_map.t; (* fd -> socket at registration time *)
   ready : Fifo.t;
-  wq : Socket.waiter Wait_queue.t;
-  mutable wake_mask : Pollmask.t; (* the edge [wake_one] passes on *)
-  mutable wake_one : Socket.waiter -> unit;
+  sleepers : Wait_slot.queue; (* tasks sleeping inside epoll_wait *)
   slot : Wait_slot.t; (* epoll_wait results and the sleeping caller *)
   requeue : interest Ready_buffer.t; (* level-triggered results to re-arm *)
   mutable closed : bool;
@@ -73,40 +71,23 @@ let interest_of t socket =
   | Some (Ep_interest i) -> i.self
   | Some _ | None -> None
 
-let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
-
-let wake_sleepers t mask =
-  if not (Wait_queue.is_empty t.wq) then begin
-    t.wake_mask <- mask;
-    ignore (Wait_queue.wake t.wq ~policy:t.host.Host.wake_policy t.wake_one)
-  end
-
-(* One woken sleeper: charged, then handed the edge being posted. Built
-   once per instance so a wakeup allocates no closure. *)
-let wake_one t w =
-  let counters = t.host.Host.counters in
-  counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
-  ignore (Host.charge t.host t.host.Host.costs.Cost_model.wait_queue_wake);
-  w.Socket.wake t.wake_mask
-
 (* The hint path: O(1) append to the ready list. *)
 let enqueue_ready t interest mask =
   let costs = t.host.Host.costs in
   ignore (Host.charge t.host costs.Cost_model.backmap_read_lock);
   interest.pending <- Pollmask.union interest.pending mask;
-  if (not interest.queued) && Pollmask.intersects mask (Pollmask.union interest.events forced)
+  if
+    (not interest.queued)
+    && Pollmask.intersects mask (Pollmask.union interest.events Pollmask.forced)
   then begin
     interest.queued <- true;
     Fifo.add interest.fd t.ready
   end;
-  wake_sleepers t mask
+  Wait_slot.wake_queue t.sleepers mask
 
 let charge_ctl t =
-  let costs = t.host.Host.costs in
-  let counters = t.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  ignore (Host.charge t.host costs.Cost_model.interest_hash_op)
+  Host.enter_syscall t.host;
+  ignore (Host.charge t.host t.host.Host.costs.Cost_model.interest_hash_op)
 
 let ctl_add t ~fd ~events ?(trigger = Level) () =
   charge_ctl t;
@@ -131,7 +112,7 @@ let ctl_add t ~fd ~events ?(trigger = Level) () =
         Fd_map.set t.watched fd socket;
         (* No lost startup events: if already ready, queue now. *)
         let st = Socket.status socket in
-        if Pollmask.intersects st (Pollmask.union events forced) then begin
+        if Pollmask.intersects st (Pollmask.union events Pollmask.forced) then begin
           interest.pending <- st;
           interest.queued <- true;
           Fifo.add fd t.ready
@@ -151,7 +132,7 @@ let ctl_mod t ~fd ~events =
           let st = Socket.status socket in
           if
             (not interest.queued)
-            && Pollmask.intersects st (Pollmask.union events forced)
+            && Pollmask.intersects st (Pollmask.union events Pollmask.forced)
           then begin
             interest.queued <- true;
             Fifo.add fd t.ready
@@ -203,11 +184,11 @@ let[@complexity "O(ready)"] harvest t ~max_events results =
                 let st = Socket.driver_poll sock in
                 let revents =
                   match interest.trigger with
-                  | Level -> Pollmask.inter st (Pollmask.union interest.events forced)
+                  | Level -> Pollmask.inter st (Pollmask.union interest.events Pollmask.forced)
                   | Edge ->
                       Pollmask.inter
                         (Pollmask.union interest.pending st)
-                        (Pollmask.union interest.events forced)
+                        (Pollmask.union interest.events Pollmask.forced)
                 in
                 interest.pending <- Pollmask.empty;
                 if Pollmask.is_empty revents then () (* stale: readiness evaporated *)
@@ -236,19 +217,16 @@ let create ~host ~lookup =
       key = Socket.new_attach_key ();
       watched = Fd_map.create ~initial_capacity:64 ();
       ready = Fifo.create ();
-      wq = Wait_queue.create ();
-      wake_mask = Pollmask.empty;
-      wake_one = ignore;
+      sleepers = Wait_slot.queue host;
       slot = Wait_slot.create ~host;
       requeue = Ready_buffer.create ();
       closed = false;
     }
   in
-  t.wake_one <- wake_one t;
   Wait_slot.set_hooks t.slot
     ~rescan:(fun ~cap results -> harvest t ~max_events:cap results)
-    ~sleep:(fun w -> Wait_queue.register t.wq w)
-    ~unsleep:(fun w -> ignore (Wait_queue.unregister t.wq w))
+    ~sleep:(fun w -> Wait_slot.sleep_on_queue t.sleepers w)
+    ~unsleep:(fun w -> Wait_slot.unsleep_queue t.sleepers w)
     ~copyout:(fun batch ->
       ignore
         (Host.charge host
@@ -260,16 +238,9 @@ let create ~host ~lookup =
 let[@complexity "O(ready)"] wait t ~max_events ~timeout ~k =
   if t.closed then invalid_arg "Epoll.wait: closed";
   if max_events <= 0 then invalid_arg "Epoll.wait: max_events must be positive";
-  let costs = t.host.Host.costs in
-  let counters = t.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge t.host costs.Cost_model.syscall_entry);
-  let slot = Wait_slot.begin_call t.slot ~cap:max_events ~k in
-  if harvest t ~max_events (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
-  else
-    match timeout with
-    | Some x when x <= Time.zero -> Wait_slot.complete slot
-    | _ -> Wait_slot.block slot ~timeout
+  let slot = Wait_slot.enter t.slot ~cap:max_events ~k in
+  if Wait_slot.must_sleep slot ~ready:(harvest t ~max_events (Wait_slot.batch slot)) ~timeout
+  then Wait_slot.block slot
 
 let interest_count t = Fd_map.length t.watched
 let ready_count t = Fifo.length t.ready

@@ -24,11 +24,6 @@ let alloc t v =
     Ok fd
   end
 
-let alloc_exn t v =
-  match alloc t v with
-  | Ok fd -> fd
-  | Error `Emfile -> failwith "Fd_table.alloc_exn: out of descriptors"
-
 let find t fd = Fd_map.find t.slots fd
 
 let find_exn t fd =

@@ -18,9 +18,6 @@ val alloc : 'a t -> 'a -> (int, [ `Emfile ]) result
 (** Lowest-numbered free descriptor, or [`Emfile] when the table is
     full. *)
 
-val alloc_exn : 'a t -> 'a -> int
-(** Raises [Failure] when full; for callers that have checked. *)
-
 val find : 'a t -> int -> 'a option
 val find_exn : 'a t -> int -> 'a
 

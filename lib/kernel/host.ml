@@ -84,6 +84,10 @@ let now t = Engine.now t.engine
 let charge t cost = Cpu.consume t.cpu cost
 let charge_run t ~cost k = Cpu.run t.cpu ~cost k
 
+let enter_syscall t =
+  t.counters.syscalls <- t.counters.syscalls + 1;
+  ignore (charge t t.costs.Cost_model.syscall_entry)
+
 (* Modeled kernel memory: admission either fully reserves or refuses;
    no partial grants, so [mem_used] is always a sum of whole
    per-connection reservations. *)

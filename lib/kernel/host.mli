@@ -80,6 +80,9 @@ val charge : t -> Time.t -> Time.t
 val charge_run : t -> cost:Time.t -> (unit -> unit) -> unit
 (** Charges CPU work and schedules the continuation at completion. *)
 
+val enter_syscall : t -> unit
+(** Counts one syscall and charges its entry cost. *)
+
 val mem_reserve : t -> int -> bool
 (** [mem_reserve t n] reserves [n] modeled kernel bytes; [false]
     (nothing reserved) when the budget would be exceeded. *)

@@ -19,7 +19,7 @@ type interest = {
   mutable cache_valid : bool;
   mutable active : bool;
       (** not idle-certified: the next DP_POLL scan must probe it (see
-          {!Devpoll.active_count}) *)
+          {!Devpoll.active_fds}) *)
 }
 
 type t

@@ -6,18 +6,15 @@ type 'a syscall_result = ('a, [ `Ebadf | `Emfile | `Eagain | `Einval ]) result
 
 type write_error = [ `Ebadf | `Emfile | `Eagain | `Einval | `Econnreset ]
 
-let enter proc extra =
+let enter proc =
   let host = Process.host proc in
-  let costs = host.Host.costs in
-  let counters = host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge host (Time.add costs.Cost_model.syscall_entry extra));
+  Host.enter_syscall host;
   host
 
 let listen proc ~backlog =
   if backlog <= 0 then Error `Einval
   else begin
-    let host = enter proc Time.zero in
+    let host = enter proc in
     let sock = Socket.create_listening ~host ~backlog in
     match Process.install_socket proc sock with
     | Ok fd -> Ok fd
@@ -25,7 +22,7 @@ let listen proc ~backlog =
   end
 
 let accept proc fd =
-  let host = enter proc Time.zero in
+  let host = enter proc in
   let costs = host.Host.costs in
   match Process.lookup_socket proc fd with
   | None -> Error `Ebadf
@@ -55,7 +52,7 @@ let accept proc fd =
           end)
 
 let read proc fd =
-  let host = enter proc Time.zero in
+  let host = enter proc in
   let costs = host.Host.costs in
   ignore (Host.charge host costs.Cost_model.read_syscall);
   match Process.lookup_socket proc fd with
@@ -77,7 +74,7 @@ let read proc fd =
 let write proc fd ~bytes_len =
   if bytes_len < 0 then Error `Einval
   else begin
-    let host = enter proc Time.zero in
+    let host = enter proc in
     let costs = host.Host.costs in
     ignore (Host.charge host costs.Cost_model.write_syscall);
     match Process.lookup_socket proc fd with
@@ -97,7 +94,7 @@ let write proc fd ~bytes_len =
 let sendfile proc fd ~bytes_len =
   if bytes_len < 0 then Error `Einval
   else begin
-    let host = enter proc Time.zero in
+    let host = enter proc in
     let costs = host.Host.costs in
     ignore (Host.charge host costs.Cost_model.write_syscall);
     match Process.lookup_socket proc fd with
@@ -118,7 +115,7 @@ let sendfile proc fd ~bytes_len =
 let ring_attach proc fd ~slot_bytes =
   if slot_bytes <= 0 then Error `Einval
   else begin
-    let host = enter proc Time.zero in
+    let host = enter proc in
     let costs = host.Host.costs in
     match Process.lookup_socket proc fd with
     | None -> Error `Ebadf
@@ -137,7 +134,7 @@ let ring_attach proc fd ~slot_bytes =
 let ring_send proc fd ~bytes_len ~copy_bytes =
   if bytes_len < 0 || copy_bytes < 0 || copy_bytes > bytes_len then Error `Einval
   else begin
-    let host = enter proc Time.zero in
+    let host = enter proc in
     let costs = host.Host.costs in
     ignore (Host.charge host costs.Cost_model.write_syscall);
     match Process.lookup_socket proc fd with
@@ -165,7 +162,7 @@ let ring_send proc fd ~bytes_len ~copy_bytes =
   end
 
 let close proc fd =
-  let host = enter proc Time.zero in
+  let host = enter proc in
   let costs = host.Host.costs in
   match Process.close_fd proc fd with
   | None -> Error `Ebadf
@@ -201,7 +198,7 @@ let[@complexity "O(interests)"] poll proc
     ~interests ~timeout ~k
 
 let devpoll_open proc =
-  let host = enter proc Time.zero in
+  let host = enter proc in
   let dev = Devpoll.create ~host ~lookup:(Process.lookup_socket proc) in
   match Fd_table.alloc (Process.fds proc) (Process.Dev dev) with
   | Ok fd -> Ok fd
@@ -251,7 +248,7 @@ let[@complexity "O(ready)"] sigtimedwait4
    does it with a signal-mask round trip); it was the one entry point
    that cost nothing. *)
 let flush_signals proc =
-  ignore (enter proc Time.zero);
+  ignore (enter proc);
   Rt_signal.flush (Process.rt_queue proc)
 
 let compute proc cost = ignore (Host.charge (Process.host proc) cost)

@@ -1,8 +1,5 @@
 open Sio_sim
 
-(* Bits always reported regardless of subscription. *)
-let forced = Pollmask.union Pollmask.pollerr (Pollmask.union Pollmask.pollhup Pollmask.pollnval)
-
 let scan_cost ~host ~n_interests =
   let costs = host.Host.costs in
   Time.mul
@@ -24,7 +21,7 @@ let[@complexity "O(interests)"] scan ~host ~lookup ~interests ~ready =
         match lookup fd with
         | None -> Pollmask.pollnval
         | Some sock ->
-            Pollmask.inter (Socket.driver_poll sock) (Pollmask.union events forced)
+            Pollmask.inter (Socket.driver_poll sock) (Pollmask.union events Pollmask.forced)
       in
       if not (Pollmask.is_empty revents) then Ready_batch.push ready fd revents)
     interests;
@@ -35,37 +32,27 @@ let copyout host batch =
     (Host.charge host
        (Time.mul host.Host.costs.Cost_model.poll_copyout_per_ready (Ready_batch.length batch)))
 
-(* Sleeping on every socket of the set, charged per interest. *)
-let sleep_on host sockets n w =
-  List.iter (fun s -> Socket.register_waiter s w) sockets;
-  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_register n))
-
-let wake_from host sockets n w =
-  List.iter (fun s -> ignore (Socket.unregister_waiter s w)) sockets;
-  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_unregister n))
-
 let[@complexity "O(interests)"] wait ~host ~lookup ~interests ~timeout ~k =
-  let costs = host.Host.costs in
-  let counters = host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge host costs.Cost_model.syscall_entry);
   (* A one-shot call, with a slot of its own: the interest list is
      passed in afresh every time. A sleep registers on every socket's
-     wait queue, and a wakeup rescans the whole set. *)
-  let sockets = List.filter_map (fun (fd, _) -> lookup fd) interests in
-  let n = List.length interests in
+     wait queue, and a wakeup rescans the whole set. The socket list
+     is built only if the call sleeps. *)
+  let sockets = ref [] in
+  let sleep w = Wait_slot.sleep_on_sockets host !sockets ~n:(List.length interests) w in
+  let unsleep w = Wait_slot.unsleep_sockets host !sockets ~n:(List.length interests) w in
   let slot = Wait_slot.create ~host in
   Wait_slot.set_hooks slot
     ~rescan:(fun ~cap:_ ready -> scan ~host ~lookup ~interests ~ready)
-    ~sleep:(fun w -> sleep_on host sockets n w)
-    ~unsleep:(fun w -> wake_from host sockets n w)
-    ~copyout:(copyout host) ();
-  let slot = Wait_slot.begin_call slot ~cap:max_int ~k in
-  if scan ~host ~lookup ~interests ~ready:(Wait_slot.batch slot) > 0 then Wait_slot.complete slot
-  else
-    match timeout with
-    | Some t when t <= Time.zero -> Wait_slot.complete slot
-    | _ -> Wait_slot.block slot ~timeout
+    ~sleep ~unsleep ~copyout:(copyout host) ();
+  let slot = Wait_slot.enter slot ~cap:max_int ~k in
+  if
+    Wait_slot.must_sleep slot
+      ~ready:(scan ~host ~lookup ~interests ~ready:(Wait_slot.batch slot))
+      ~timeout
+  then begin
+    sockets := List.filter_map (fun (fd, _) -> lookup fd) interests;
+    Wait_slot.block slot
+  end
 
 (* A persistent poll set: the interest list a server passes to poll()
    on every loop iteration, kept between calls so the host-side scan
@@ -78,7 +65,7 @@ module Pset = struct
     fd : int;
     order : int; (* insertion rank; re-adding after remove re-ranks *)
     mutable events : Pollmask.t;
-    mutable bound : (Socket.t * int) option; (* watched socket, token *)
+    mutable bound : Socket.watch;
   }
 
   type pset = {
@@ -96,13 +83,6 @@ module Pset = struct
     mutable next_order : int;
   }
 
-  let unbind e =
-    match e.bound with
-    | Some (sock, wtoken) ->
-        Socket.remove_watcher sock wtoken;
-        e.bound <- None
-    | None -> ()
-
   let set s fd events =
     match Fd_map.find s.entries fd with
     | Some e ->
@@ -118,7 +98,7 @@ module Pset = struct
     match Fd_map.find s.entries fd with
     | None -> ()
     | Some e ->
-        unbind e;
+        Socket.unwatch e.bound;
         ignore (Fd_map.remove s.entries fd);
         ignore (Fd_map.remove s.active fd)
 
@@ -135,13 +115,10 @@ module Pset = struct
     match s.lookup e.fd with
     | None -> Pollmask.pollnval (* stays active: POLLNVAL is always reported *)
     | Some sock ->
-        (match e.bound with
-        | Some (s0, _) when Socket.id s0 = Socket.id sock -> ()
-        | Some _ | None ->
-            unbind e;
-            let wtoken = Socket.add_watcher sock (fun () -> Fd_map.set s.active e.fd e) in
-            e.bound <- Some (sock, wtoken));
-        let revents = Pollmask.inter (Socket.driver_poll sock) (Pollmask.union e.events forced) in
+        e.bound <- Socket.rewatch e.bound sock s.active e.fd e;
+        let revents =
+          Pollmask.inter (Socket.driver_poll sock) (Pollmask.union e.events Pollmask.forced)
+        in
         if Pollmask.is_empty revents then ignore (Fd_map.remove s.active e.fd);
         revents
 
@@ -188,8 +165,8 @@ module Pset = struct
     in
     Wait_slot.set_hooks s.slot
       ~rescan:(fun ~cap:_ ready -> scan_set s ready)
-      ~sleep:(fun w -> sleep_on host s.sockets s.n_sockets w)
-      ~unsleep:(fun w -> wake_from host s.sockets s.n_sockets w)
+      ~sleep:(fun w -> Wait_slot.sleep_on_sockets host s.sockets ~n:s.n_sockets w)
+      ~unsleep:(fun w -> Wait_slot.unsleep_sockets host s.sockets ~n:s.n_sockets w)
       ~copyout:(copyout host) ();
     s
 
@@ -197,20 +174,12 @@ module Pset = struct
      sequence as [wait] — syscall entry, scan, sleep registration on
      every interest's socket, full rescan per wake, copy-out per ready. *)
   let[@complexity "O(interests)"] wait_set s ~timeout ~k =
-    let host = s.host in
-    let costs = host.Host.costs in
-    let counters = host.Host.counters in
-    counters.Host.syscalls <- counters.Host.syscalls + 1;
-    ignore (Host.charge host costs.Cost_model.syscall_entry);
-    let slot = Wait_slot.begin_call s.slot ~cap:max_int ~k in
-    if scan_set s (Wait_slot.batch slot) > 0 then Wait_slot.complete slot
-    else
-      match timeout with
-      | Some t when t <= Time.zero -> Wait_slot.complete slot
-      | _ ->
-          s.sockets <-
-            Fd_map.fold s.entries ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc);
-          s.n_sockets <- Fd_map.length s.entries;
-          Wait_slot.block slot ~timeout
+    let slot = Wait_slot.enter s.slot ~cap:max_int ~k in
+    if Wait_slot.must_sleep slot ~ready:(scan_set s (Wait_slot.batch slot)) ~timeout then begin
+      s.sockets <-
+        Fd_map.fold s.entries ~init:[] ~f:(fun acc fd _ ->
+            match s.lookup fd with Some sock -> sock :: acc | None -> acc);
+      s.n_sockets <- Fd_map.length s.entries;
+      Wait_slot.block slot
+    end
 end

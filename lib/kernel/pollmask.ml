@@ -19,6 +19,7 @@ let intersects a b = a land b <> 0
 let is_empty m = m = 0
 let equal = Int.equal
 let readable = pollin lor pollpri
+let forced = pollerr lor pollhup lor pollnval
 
 let of_int i =
   if i land lnot all_bits <> 0 then invalid_arg "Pollmask.of_int: unknown bits"

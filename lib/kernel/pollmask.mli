@@ -35,6 +35,10 @@ val equal : t -> t -> bool
 val readable : t
 (** [pollin] u [pollpri]: the bits a reader waits for. *)
 
+val forced : t
+(** [pollerr] u [pollhup] u [pollnval]: reported whether or not
+    subscribed, per POSIX. *)
+
 val of_int : int -> t
 (** Raises [Invalid_argument] if unknown bits are set. *)
 

@@ -235,9 +235,7 @@ let enqueue q ~signo ~fd ~band =
 let set_signal q ~socket ~fd ~signo =
   if signo < sigrtmin then invalid_arg "Rt_signal.set_signal: signo below SIGRTMIN";
   let costs = q.host.Host.costs in
-  let counters = q.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge q.host costs.Cost_model.syscall_entry);
+  Host.enter_syscall q.host;
   ignore (Host.charge q.host costs.Cost_model.fcntl_call);
   (match Fd_map.find q.bindings fd with
   | Some old_sock ->
@@ -256,9 +254,7 @@ let set_signal q ~socket ~fd ~signo =
 
 let clear_signal q ~socket ~fd =
   let costs = q.host.Host.costs in
-  let counters = q.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge q.host costs.Cost_model.syscall_entry);
+  Host.enter_syscall q.host;
   ignore (Host.charge q.host costs.Cost_model.fcntl_call);
   match Fd_map.find q.bindings fd with
   | Some bound_sock when bound_sock == socket ->
@@ -276,9 +272,7 @@ let clear_signal q ~socket ~fd =
    finds the caller gone. *)
 let[@complexity "O(ready)"] wait_general q ~max ~timeout ret =
   let costs = q.host.Host.costs in
-  let counters = q.host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge q.host costs.Cost_model.syscall_entry);
+  Host.enter_syscall q.host;
   ignore (Host.charge q.host costs.Cost_model.sigwait_call);
   if available q then serve q ~max ret
   else

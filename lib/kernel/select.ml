@@ -11,7 +11,6 @@ let scan_cost ~host ~nfds =
   Time.mul (Time.div costs.Cost_model.poll_copyin_per_fd 3) nfds
 
 let[@complexity "O(interests)"] scan ~host ~lookup ~read ~write ~except =
-  let costs = host.Host.costs in
   let nfds =
     1 + Stdlib.max (Fd_set.max_fd read) (Stdlib.max (Fd_set.max_fd write) (Fd_set.max_fd except))
   in
@@ -29,7 +28,6 @@ let[@complexity "O(interests)"] scan ~host ~lookup ~read ~write ~except =
         Pollmask.empty
     | Some sock -> Socket.driver_poll sock
   in
-  ignore costs;
   for fd = 0 to nfds - 1 do
     if Fd_set.mem read fd || Fd_set.mem write fd || Fd_set.mem except fd then begin
       let st = consult fd in
@@ -57,70 +55,36 @@ let[@complexity "O(interests)"] scan ~host ~lookup ~read ~write ~except =
   ({ readable = r; writable = w; except = e }, !ready)
 
 let[@complexity "O(interests)"] select ~host ~lookup ~read ~write ~except ~timeout ~k =
-  let costs = host.Host.costs in
-  let counters = host.Host.counters in
-  counters.Host.syscalls <- counters.Host.syscalls + 1;
-  ignore (Host.charge host costs.Cost_model.syscall_entry);
-  let finish result = Host.charge_run host ~cost:Time.zero (fun () -> k result) in
-  (* Dedup against the bitmaps already in hand (O(1) per fd) instead
-     of a List.mem walk over the accumulator (O(members²)). *)
-  let members () =
+  (* A one-shot call with a slot of its own, as [Poll.wait]: [k] gets
+     the last scan's bitmaps, and the slot's batch stays empty. A
+     sleep registers on every member's socket; a wakeup rescans, and
+     so does the timeout. *)
+  let found = ref None in
+  let rescan ~cap:_ _ =
+    let result, ready = scan ~host ~lookup ~read ~write ~except in
+    found := Some result;
+    ready
+  in
+  let sockets = ref [] in
+  let slot = Wait_slot.create ~host in
+  Wait_slot.set_hooks slot ~rescan
+    ~sleep:(fun w -> Wait_slot.sleep_on_sockets host !sockets ~n:(List.length !sockets) w)
+    ~unsleep:(fun w -> Wait_slot.unsleep_sockets host !sockets ~n:(List.length !sockets) w)
+    ~expire:(fun ~cap batch -> ignore (rescan ~cap batch))
+    ~copyout:ignore ();
+  let slot = Wait_slot.enter slot ~cap:max_int ~k:(fun _ -> Option.iter k !found) in
+  let first, ready = scan ~host ~lookup ~read ~write ~except in
+  found := Some first;
+  if Wait_slot.must_sleep slot ~ready ~timeout then begin
+    (* Each member once: dedup against the bitmaps already in hand. *)
     let fds = ref [] in
     Fd_set.iter read (fun fd -> fds := fd :: !fds);
     Fd_set.iter write (fun fd -> if not (Fd_set.mem read fd) then fds := fd :: !fds);
     Fd_set.iter except (fun fd ->
         if not (Fd_set.mem read fd || Fd_set.mem write fd) then fds := fd :: !fds);
-    List.filter_map lookup !fds
-  in
-  let first, ready = scan ~host ~lookup ~read ~write ~except in
-  if ready > 0 then finish first
-  else
-    match timeout with
-    | Some t when t <= Time.zero -> finish first
-    | _ ->
-        let sockets = members () in
-        let n = List.length sockets in
-        ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-        let timer = ref None in
-        let waiter_ref = ref None in
-        let cleanup () =
-          (match !waiter_ref with
-          | Some wtr -> List.iter (fun s -> ignore (Socket.unregister_waiter s wtr)) sockets
-          | None -> ());
-          ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_unregister n));
-          match !timer with
-          | Some h ->
-              Engine.cancel host.Host.engine h;
-              timer := None
-          | None -> ()
-        in
-        let rec on_wake _mask =
-          cleanup ();
-          let result, ready = scan ~host ~lookup ~read ~write ~except in
-          if ready > 0 then finish result
-          else begin
-            let wtr = { Socket.wake = on_wake } in
-            waiter_ref := Some wtr;
-            List.iter (fun s -> Socket.register_waiter s wtr) sockets;
-            ignore (Host.charge host (Time.mul costs.Cost_model.wait_queue_register n));
-            arm_timer ()
-          end
-        and arm_timer () =
-          match timeout with
-          | None -> ()
-          | Some t ->
-              timer :=
-                Some
-                  (Engine.after host.Host.engine t (fun () ->
-                       timer := None;
-                       cleanup ();
-                       let result, _ = scan ~host ~lookup ~read ~write ~except in
-                       finish result))
-        in
-        let wtr = { Socket.wake = on_wake } in
-        waiter_ref := Some wtr;
-        List.iter (fun s -> Socket.register_waiter s wtr) sockets;
-        arm_timer ()
+    sockets := List.filter_map lookup !fds;
+    Wait_slot.block slot
+  end
 
 (* A stateful select set, mirroring how thttpd actually uses select():
    the same three bitmaps (except aliased to read) are re-submitted on
@@ -128,7 +92,7 @@ let[@complexity "O(interests)"] select ~host ~lookup ~read ~write ~except ~timeo
    O(active) while charged costs, counters, and the returned bitmaps
    stay identical to [select] over the same bitmaps. *)
 module Sset = struct
-  type member = { fd : int; mutable bound : (Socket.t * int) option }
+  type member = { fd : int; mutable bound : Socket.watch }
 
   type sset = {
     host : Host.t;
@@ -145,19 +109,12 @@ module Sset = struct
     mutable sockets : Socket.t list; (* slept on by the select() in progress *)
   }
 
-  let unbind m =
-    match m.bound with
-    | Some (sock, wtoken) ->
-        Socket.remove_watcher sock wtoken;
-        m.bound <- None
-    | None -> ()
-
   let remove s fd =
     Fd_set.clear s.read fd;
     Fd_set.clear s.write fd;
     (match Fd_map.find s.members fd with
     | Some m ->
-        unbind m;
+        Socket.unwatch m.bound;
         ignore (Fd_map.remove s.members fd)
     | None -> ());
     ignore (Fd_map.remove s.active fd)
@@ -223,14 +180,7 @@ module Sset = struct
               any := true
             end
         | Some sock ->
-            (match m.bound with
-            | Some (s0, _) when Socket.id s0 = Socket.id sock -> ()
-            | Some _ | None ->
-                unbind m;
-                let wtoken =
-                  Socket.add_watcher sock (fun () -> Fd_map.set s.active m.fd m)
-                in
-                m.bound <- Some (sock, wtoken));
+            m.bound <- Socket.rewatch m.bound sock s.active fd m;
             let st = Socket.driver_poll sock in
             if
               Fd_set.mem read fd
@@ -279,18 +229,6 @@ module Sset = struct
     fill batch ~read:r.readable ~write:r.writable ~except:r.except;
     ready
 
-  let sleep_on s w =
-    List.iter (fun sock -> Socket.register_waiter sock w) s.sockets;
-    ignore
-      (Host.charge s.host
-         (Time.mul s.host.Host.costs.Cost_model.wait_queue_register (List.length s.sockets)))
-
-  let wake_from s w =
-    List.iter (fun sock -> ignore (Socket.unregister_waiter sock w)) s.sockets;
-    ignore
-      (Host.charge s.host
-         (Time.mul s.host.Host.costs.Cost_model.wait_queue_unregister (List.length s.sockets)))
-
   let create ~host ~lookup () =
     let s =
       {
@@ -308,8 +246,9 @@ module Sset = struct
        expires, rather than nothing. *)
     Wait_slot.set_hooks s.slot
       ~rescan:(fun ~cap batch -> rescan s ~cap batch)
-      ~sleep:(fun w -> sleep_on s w)
-      ~unsleep:(fun w -> wake_from s w)
+      ~sleep:(fun w -> Wait_slot.sleep_on_sockets host s.sockets ~n:(List.length s.sockets) w)
+      ~unsleep:(fun w ->
+        Wait_slot.unsleep_sockets host s.sockets ~n:(List.length s.sockets) w)
       ~expire:(fun ~cap batch -> ignore (rescan s ~cap batch))
       ~copyout:ignore ();
     s
@@ -317,22 +256,14 @@ module Sset = struct
   (* select() over the persistent set: charge-for-charge the same call
      sequence as [select], including the rescan at timeout expiry. *)
   let[@complexity "O(interests)"] wait_sset s ~timeout ~k =
-    let host = s.host in
-    let costs = host.Host.costs in
-    let counters = host.Host.counters in
-    counters.Host.syscalls <- counters.Host.syscalls + 1;
-    ignore (Host.charge host costs.Cost_model.syscall_entry);
-    let slot = Wait_slot.begin_call s.slot ~cap:max_int ~k in
+    let slot = Wait_slot.enter s.slot ~cap:max_int ~k in
     let first, ready = scan_sset s in
     fill (Wait_slot.batch slot) ~read:first.readable ~write:first.writable
       ~except:first.except;
-    if ready > 0 then Wait_slot.complete slot
-    else
-      match timeout with
-      | Some t when t <= Time.zero -> Wait_slot.complete slot
-      | _ ->
-          s.sockets <-
-            Fd_map.fold s.members ~init:[] ~f:(fun acc fd _ ->
-                match s.lookup fd with Some sock -> sock :: acc | None -> acc);
-          Wait_slot.block slot ~timeout
+    if Wait_slot.must_sleep slot ~ready ~timeout then begin
+      s.sockets <-
+        Fd_map.fold s.members ~init:[] ~f:(fun acc fd _ ->
+            match s.lookup fd with Some sock -> sock :: acc | None -> acc);
+      Wait_slot.block slot
+    end
 end

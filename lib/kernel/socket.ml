@@ -301,6 +301,17 @@ let remove_watcher t token =
   if live t then
     match cold_opt t with Some c -> Regs.remove c.watchers token | None -> ()
 
+type watch = (t * int) option
+
+let unwatch = function Some (sock, token) -> remove_watcher sock token | None -> ()
+
+let rewatch w sock active fd v =
+  match w with
+  | Some (s0, _) when s0.id = sock.id -> w
+  | Some _ | None ->
+      unwatch w;
+      Some (sock, add_watcher sock (fun () -> Sio_sim.Fd_map.set active fd v))
+
 let waiter_count t =
   match if live t then cold_opt t else None with
   | Some c -> Wait_queue.length c.waitq
@@ -678,10 +689,3 @@ let close t =
         release_kernel_memory t;
         Conn_arena.free a t.slot
   end
-
-let pp_state ppf = function
-  | Listening -> Fmt.string ppf "LISTENING"
-  | Established -> Fmt.string ppf "ESTABLISHED"
-  | Peer_closed -> Fmt.string ppf "PEER_CLOSED"
-  | Reset -> Fmt.string ppf "RESET"
-  | Closed -> Fmt.string ppf "CLOSED"

@@ -84,6 +84,18 @@ val add_watcher : t -> (unit -> unit) -> int
 
 val remove_watcher : t -> int -> unit
 
+type watch = (t * int) option
+(** The watcher a persistent poll or select set keeps on a
+    descriptor's socket, if any. *)
+
+val unwatch : watch -> unit
+
+val rewatch : watch -> t -> 'a Sio_sim.Fd_map.t -> int -> 'a -> watch
+(** [rewatch w sock active fd v] is a watcher on [sock] that re-adds
+    [fd] (bound to [v]) to [active] on any readiness edge: [w] itself
+    when it already watches [sock], else a fresh one that replaces [w]
+    (descriptor reuse). *)
+
 val waiter_count : t -> int
 val observer_count : t -> int
 
@@ -205,5 +217,3 @@ val set_tcp_link : t -> int -> unit
 
 val tcp_link : t -> int
 (** The owning TCP connection id, or 0. *)
-
-val pp_state : Format.formatter -> state -> unit

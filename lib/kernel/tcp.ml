@@ -107,7 +107,6 @@ let connect ~net ~listener ?(extra_latency = Time.zero) ~handlers () =
   conn
 
 let id t = t.id
-let server_socket t = t.server_sock
 
 let client_send t ~bytes_len ~payload =
   if bytes_len < 0 then invalid_arg "Tcp.client_send: negative length";

@@ -43,9 +43,6 @@ val connect :
 
 val id : t -> int
 
-val server_socket : t -> Socket.t option
-(** The server-side socket, once the SYN has arrived. *)
-
 val client_send : t -> bytes_len:int -> payload:string -> unit
 (** Client pushes request bytes toward the server. *)
 

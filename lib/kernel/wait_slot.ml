@@ -97,7 +97,8 @@ let set_hooks s ~rescan ~sleep ~unsleep ?(expire = clear_on_expiry) ~copyout () 
 
 let batch s = s.batch
 
-let begin_call s ~cap ~k =
+let enter s ~cap ~k =
+  Host.enter_syscall s.host;
   (* The instance's slot serves every call unless an earlier one has
      not delivered yet; an overlapping call gets a slot of its own so
      neither batch is overwritten under the other's reader. *)
@@ -115,7 +116,58 @@ let begin_call s ~cap ~k =
   Ready_batch.clear s.batch;
   s
 
-let block s ~timeout =
-  s.timeout <- timeout;
+let must_sleep s ~ready ~timeout =
+  let polling = match timeout with Some x -> x <= Time.zero | None -> false in
+  if ready > 0 || polling then begin
+    complete s;
+    false
+  end
+  else begin
+    s.timeout <- timeout;
+    true
+  end
+
+let block s =
   s.hooks.sleep s.waiter;
   arm s
+
+(* Sleeping on every socket of a poll or select set, charged per
+   entry. *)
+let sleep_on_sockets host sockets ~n w =
+  List.iter (fun sock -> Socket.register_waiter sock w) sockets;
+  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_register n))
+
+let unsleep_sockets host sockets ~n w =
+  List.iter (fun sock -> ignore (Socket.unregister_waiter sock w)) sockets;
+  ignore (Host.charge host (Time.mul host.Host.costs.Cost_model.wait_queue_unregister n))
+
+type queue = {
+  q_host : Host.t;
+  wq : Socket.waiter Wait_queue.t;
+  mutable wake_mask : Pollmask.t; (* the edge [wake_one] passes on *)
+  mutable wake_one : Socket.waiter -> unit;
+}
+
+(* One woken sleeper: charged, then handed the edge being posted. Built
+   once per queue so a wakeup allocates no closure. *)
+let wake_one q w =
+  let counters = q.q_host.Host.counters in
+  counters.Host.wait_queue_wakes <- counters.Host.wait_queue_wakes + 1;
+  ignore (Host.charge q.q_host q.q_host.Host.costs.Cost_model.wait_queue_wake);
+  w.Socket.wake q.wake_mask
+
+let queue host =
+  let q =
+    { q_host = host; wq = Wait_queue.create (); wake_mask = Pollmask.empty; wake_one = ignore }
+  in
+  q.wake_one <- wake_one q;
+  q
+
+let wake_queue q mask =
+  if not (Wait_queue.is_empty q.wq) then begin
+    q.wake_mask <- mask;
+    ignore (Wait_queue.wake q.wq ~policy:q.q_host.Host.wake_policy q.wake_one)
+  end
+
+let sleep_on_queue q w = Wait_queue.register q.wq w
+let unsleep_queue q w = ignore (Wait_queue.unregister q.wq w)

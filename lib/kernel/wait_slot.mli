@@ -1,6 +1,12 @@
-(** The blocking half of a readiness wait, owned by one notification
-    instance (a /dev/poll open, an epoll instance, a persistent poll or
-    select set).
+(** The blocking half of a readiness wait: the one sleep, rescan and
+    timeout path of select, poll, /dev/poll and epoll. A slot is owned
+    by one notification instance (a /dev/poll open, an epoll instance,
+    a persistent poll or select set) or by one one-shot poll() or
+    select() call.
+
+    Every wait entry runs the same steps: {!enter}, the mechanism's
+    own first scan into {!batch}, {!must_sleep}, then — when it must
+    sleep — any first-sleep setup of its own and {!block}.
 
     Every wait on the instance fills the same {!Ready_batch.t}, and
     the instance keeps one preallocated waiter, timer callback and
@@ -41,17 +47,43 @@ val set_hooks :
   unit ->
   unit
 
-val begin_call : t -> cap:int -> k:(Ready_batch.t -> unit) -> t
-(** Start a wait returning at most [cap] results to [k]: the slot to
-    use for this call (the instance's own, or a fresh one when the
-    instance's is still outstanding), with its batch cleared for the
-    owner's first scan. *)
+val enter : t -> cap:int -> k:(Ready_batch.t -> unit) -> t
+(** Enter the syscall ({!Host.enter_syscall}) for a wait returning at
+    most [cap] results to [k]: the slot to use for this call (the
+    instance's own, or a fresh one when the instance's is still
+    outstanding), with its batch cleared for the owner's first scan. *)
 
 val batch : t -> Ready_batch.t
 
-val complete : t -> unit
-(** The batch holds the result: charge copy-out and deliver it. *)
+val must_sleep : t -> ready:int -> timeout:Time.t option -> bool
+(** After the first scan found [ready] results: when there are some,
+    or [timeout] is zero, charge copy-out, deliver the batch and return
+    [false]. Otherwise return [true]: the caller must {!block}, with
+    [timeout] ([None] sleeps forever). *)
 
-val block : t -> timeout:Time.t option -> unit
-(** Nothing ready: sleep until a wakeup finds something or [timeout]
-    expires ([None] sleeps forever). *)
+val block : t -> unit
+(** Nothing ready: sleep until a wakeup finds something or the timeout
+    given to {!must_sleep} expires. *)
+
+(** {1 Shared sleep steps} *)
+
+val sleep_on_sockets : Host.t -> Socket.t list -> n:int -> Socket.waiter -> unit
+(** A poll or select sleep: register on every socket's wait queue,
+    charging [n] registrations (poll charges one per interest, closed
+    descriptors included). *)
+
+val unsleep_sockets : Host.t -> Socket.t list -> n:int -> Socket.waiter -> unit
+(** Undo {!sleep_on_sockets}, charging [n] unregistrations. *)
+
+type queue
+(** The wait queue of a notification instance (/dev/poll, epoll): its
+    waits sleep on the queue and its driver hints wake it. *)
+
+val queue : Host.t -> queue
+
+val wake_queue : queue -> Pollmask.t -> unit
+(** Wake the sleepers (all, or one, per the host's wake policy), each
+    charged one wait-queue wake, handing them the edge's mask. *)
+
+val sleep_on_queue : queue -> Socket.waiter -> unit
+val unsleep_queue : queue -> Socket.waiter -> unit

@@ -6,7 +6,6 @@ let create ~engine ?(bandwidth_bits_per_sec = 100_000_000) ?(latency = Time.us 1
   let mk () = Link.create ~engine ~bandwidth_bits_per_sec ~latency in
   { up = mk (); down = mk (); latency }
 
-let client_to_server t = t.up
 let server_to_client t = t.down
 
 let send_to_server t ~extra_latency ~bytes_len k =

@@ -15,7 +15,6 @@ val create :
 (** Defaults: 100 Mbit/s, 100 us one-way latency (LAN through one
     switch). *)
 
-val client_to_server : t -> Link.t
 val server_to_client : t -> Link.t
 
 val send_to_server : t -> extra_latency:Time.t -> bytes_len:int -> (unit -> unit) -> unit

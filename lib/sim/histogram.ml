@@ -108,10 +108,3 @@ let merge_into ~dst src =
     dst.max_v <- Stdlib.max dst.max_v src.max_v;
     dst.sum <- dst.sum +. src.sum
   end
-
-let pp_summary ppf t =
-  if t.total = 0 then Fmt.pf ppf "empty"
-  else
-    Fmt.pf ppf "n=%d min=%a p50=%a p90=%a p99=%a max=%a" t.total Time.pp
-      (min_value t) Time.pp (median t) Time.pp (percentile t 90.) Time.pp
-      (percentile t 99.) Time.pp (max_value t)

@@ -33,5 +33,3 @@ val max_value : t -> Time.t
 val merge_into : dst:t -> t -> unit
 (** Adds all of the source's samples into [dst]. The two histograms
     must have the same resolution. *)
-
-val pp_summary : Format.formatter -> t -> unit

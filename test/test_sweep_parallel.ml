@@ -139,6 +139,15 @@ let test_derived_seeds_are_mixed () =
     (fun r -> Alcotest.(check bool) "non-negative" true (Rng.derive ~seed:42 r >= 0))
     Sweep.paper_rates
 
+(* Every parallel run ends with a host RSS read. Its page-size probe
+   runs once per process, so the race between two domains making the
+   first read is only visible in a fresh process: each try is one run
+   of a program whose two domains make that read at once. *)
+let test_rss_from_two_domains () =
+  for _ = 1 to 5 do
+    Alcotest.(check int) "rss_race exit status" 0 (Sys.command "rss_race/rss_race.exe")
+  done
+
 let suite =
   [
     Alcotest.test_case "fig5 parallel == sequential" `Slow (test_figure_bit_identical "fig5");
@@ -149,4 +158,5 @@ let suite =
     Alcotest.test_case "duplicate rates rejected" `Quick test_duplicate_rate_rejected;
     Alcotest.test_case "seed derivation is mixed, not additive" `Quick
       test_derived_seeds_are_mixed;
+    Alcotest.test_case "rss_bytes from two domains at once" `Quick test_rss_from_two_domains;
   ]
